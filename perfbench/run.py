@@ -36,7 +36,7 @@ DEFAULT_SEED = 1
 HELD_OUT_SEED = 2
 # Set-up is timed in this many fresh processes; the median is reported.
 SETUP_SPAWNS = 11
-# Wall budget of everything after the build; the contract allows 180 s.
+# Wall budget of everything after the build: a run must end within 180 s.
 RUN_DEADLINE_S = 170.0
 
 
