@@ -24,9 +24,17 @@ using namespace dcb;
 constexpr std::uint32_t kNodes = 512;
 constexpr std::uint32_t kRacks = 32;
 constexpr std::uint32_t kJobs = 16;
-/** 1-thread reference runs and armed/unarmed pairs of a traced run. */
-constexpr int kSerialRefRuns = 3;
-constexpr int kObsPairs = 5;
+/**
+ * The timed loop drives the sharded engine on one thread (every shard and
+ * the coordinator on the calling thread, same epochs and barriers). At 4
+ * threads one descheduled worker stalls every epoch barrier, and on a
+ * shared 4-core host the run-to-run spread of the rate roughly doubled
+ * (0.19-0.22 against 0.12 over the same seeds). The N-thread engine runs
+ * untimed for the bit-identity check and, traced, as the speedup probe.
+ */
+constexpr unsigned kTimedThreads = 1;
+/** Sharded probe runs and unarmed/armed pairs of a traced run. */
+constexpr int kProbeRuns = 5;
 
 /**
  * The fleet: the shape of bench_cluster's (input sizes in five steps,
@@ -163,6 +171,16 @@ ClusterWorkload::run(unsigned threads, bool armed) const
     return r;
 }
 
+/** Summed per-shard steals of one run. */
+double
+steals_of(const Run& r)
+{
+    double s = 0.0;
+    for (const mapreduce::ShardStats& st : r.result.shards)
+        s += static_cast<double>(st.steals);
+    return s;
+}
+
 void
 ClusterWorkload::measure(Report& out, obs::TraceWriter* trace)
 {
@@ -171,66 +189,80 @@ ClusterWorkload::measure(Report& out, obs::TraceWriter* trace)
     Run first;
     std::string first_dump;
     bool repeat_identical = true;
-    std::vector<double> rate;
-    std::vector<double> rate_per_thread;
+    std::vector<double> wall_s;
     std::vector<double> busy_s;
-    std::vector<double> steals;
+    std::vector<double> rate_per_thread;
     std::vector<double> rss_mb;
     std::vector<double> traced_s;
     std::vector<double> untraced_s;
     timed_loop(options_.seconds, 5, [&] {
-        const bool traced = trace != nullptr && rate.size() % 2 == 0;
+        const bool traced = trace != nullptr && wall_s.size() % 2 == 0;
         const double start_us = traced ? trace->now_us() : 0.0;
         reset_peak_rss();
-        Run r = run(options_.threads, chaos_);
+        Run r = run(kTimedThreads, chaos_);
         rss_mb.push_back(peak_rss_mb());
-        const double wall_s = r.wall_s;
         if (traced)
             span(trace, "MultiJobScheduler::run", "mapreduce", start_us);
-        (traced ? traced_s : untraced_s).push_back(wall_s);
-        const double events = static_cast<double>(r.result.events);
-        rate.push_back(events / wall_s / 1e3);
-        rate_per_thread.push_back(events / r.busy_s() / 1e3);
+        (traced ? traced_s : untraced_s).push_back(r.wall_s);
+        wall_s.push_back(r.wall_s);
         busy_s.push_back(r.busy_s());
-        double s = 0.0;
-        for (const mapreduce::ShardStats& st : r.result.shards)
-            s += static_cast<double>(st.steals);
-        steals.push_back(s);
-        if (rate.size() == 1) {
+        rate_per_thread.push_back(static_cast<double>(r.result.events) /
+                                  r.busy_s() / 1e3);
+        if (wall_s.size() == 1) {
             first_dump = r.result.dump();
             first = std::move(r);
         } else {
             repeat_identical = repeat_identical &&
                                r.result.dump() == first_dump;
         }
-        return wall_s;
+        return wall_s.back();
     });
+    const double events = static_cast<double>(first.result.events);
+    const double serial_s = median(wall_s);
 
     // --- Untimed output checks. Every job is an operation.
     const std::vector<std::string> failures =
         job_failures(first.result, fleet_, cluster_);
-    out.attempted += rate.size() * fleet_.size();
-    out.failed += rate.size() * failures.size();
+    out.attempted += wall_s.size() * fleet_.size();
+    out.failed += wall_s.size() * failures.size();
     std::string detail;
     for (const std::string& f : failures)
         detail += (detail.empty() ? "" : "; ") + f;
     out.check("jobs complete with expected_task_counts", failures.empty(),
               detail);
     out.check("every run's dump identical to the first", repeat_identical);
-    // The serial reference runs unarmed, so for chaos it also shows that
-    // observation left the simulation unchanged.
-    std::vector<Run> serial;
-    for (int i = 0; i < (trace != nullptr ? kSerialRefRuns : 1); ++i) {
+    std::vector<double> sharded_s;
+    std::vector<double> steals;
+    bool sharded_identical = true;
+    for (int i = 0; i < (trace != nullptr ? kProbeRuns : 1); ++i) {
         const double start_us = trace != nullptr ? trace->now_us() : 0.0;
-        serial.push_back(run(1, false));
-        span(trace, "serial reference", "mapreduce", start_us);
+        const Run r = run(options_.threads, chaos_);
+        span(trace, "sharded run", "mapreduce", start_us);
+        sharded_identical = sharded_identical && r.result.dump() == first_dump;
+        sharded_s.push_back(r.wall_s);
+        steals.push_back(steals_of(r));
     }
-    out.check(chaos_ ? "serial unarmed dump identical to sharded armed"
-                     : "serial dump identical to sharded",
-              serial.front().result.dump() == first_dump);
+    out.check("sharded dump identical to the 1-thread dump",
+              sharded_identical);
+    // Adjacent unarmed/armed pairs, so host drift hits both sides alike.
+    std::vector<double> unarmed_s;
+    std::vector<double> armed_s;
+    bool unarmed_identical = true;
+    for (int i = 0; chaos_ && i < (trace != nullptr ? kProbeRuns : 1); ++i) {
+        const double start_us = trace != nullptr ? trace->now_us() : 0.0;
+        const Run unarmed = run(kTimedThreads, false);
+        span(trace, "unarmed run", "obs", start_us);
+        unarmed_identical =
+            unarmed_identical && unarmed.result.dump() == first_dump;
+        unarmed_s.push_back(unarmed.wall_s);
+        if (trace != nullptr)
+            armed_s.push_back(run(kTimedThreads, true).wall_s);
+    }
+    if (chaos_)
+        out.check("unarmed dump identical to armed", unarmed_identical);
 
     // --- End-to-end metrics.
-    out.metric("sim_rate", median(rate), "k/s");
+    out.metric("sim_rate", events / serial_s / 1e3, "k/s");
     out.metric("sim_rate_per_thread", median(rate_per_thread), "k/s");
     out.metric("peak_rss_mb", median(rss_mb), "MB");
     if (trace == nullptr)
@@ -244,24 +276,19 @@ ClusterWorkload::measure(Report& out, obs::TraceWriter* trace)
     double wasted = 0.0;
     for (const mapreduce::JobOutcome& job : res.jobs)
         wasted += job.wasted_task_s;
-    std::vector<double> serial_s;
-    std::vector<double> serial_busy_s;
-    for (const Run& r : serial) {
-        serial_s.push_back(r.wall_s);
-        serial_busy_s.push_back(r.busy_s());
-    }
-    const double serial_ref_s = median(serial_s);
-    const double coordinator_s = serial_ref_s - median(serial_busy_s);
-    out.metric("mapreduce.events", static_cast<double>(res.events), "count");
+    const double coordinator_s = serial_s - median(busy_s);
+    out.metric("mapreduce.events", events, "count");
     out.metric("mapreduce.epochs", static_cast<double>(res.epochs), "count");
     out.metric("mapreduce.messages", messages, "count");
     out.metric("mapreduce.shard_busy_s", median(busy_s), "s");
     out.metric("mapreduce.steals", median(steals), "count");
-    out.metric("mapreduce.serial_ref_s", serial_ref_s, "s");
+    out.metric("mapreduce.serial_ref_s", serial_s, "s");
     out.metric("mapreduce.coordinator_s", coordinator_s, "s");
     out.metric("mapreduce.amdahl_bound",
-               serial_ref_s / (coordinator_s + (serial_ref_s - coordinator_s) /
-                                                   options_.threads),
+               serial_s / (coordinator_s +
+                           (serial_s - coordinator_s) / options_.threads),
+               "ratio");
+    out.metric("mapreduce.sharded_speedup", serial_s / median(sharded_s),
                "ratio");
     out.metric("mapreduce.wasted_frac",
                res.cluster.slot_busy_s > 0.0 ? wasted / res.cluster.slot_busy_s
@@ -282,20 +309,6 @@ ClusterWorkload::measure(Report& out, obs::TraceWriter* trace)
                static_cast<double>(first.metrics_series), "count");
     out.metric("obs.snapshots", static_cast<double>(first.snapshots),
                "count");
-    // Adjacent unarmed/armed pairs, so host drift hits both sides alike.
-    std::vector<double> armed_s;
-    std::vector<double> unarmed_s;
-    bool unarmed_identical = true;
-    for (int i = 0; i < kObsPairs; ++i) {
-        const double start_us = trace->now_us();
-        const Run unarmed = run(options_.threads, false);
-        span(trace, "unarmed run", "obs", start_us);
-        unarmed_identical =
-            unarmed_identical && unarmed.result.dump() == first_dump;
-        unarmed_s.push_back(unarmed.wall_s);
-        armed_s.push_back(run(options_.threads, true).wall_s);
-    }
-    out.check("sharded unarmed dump identical to armed", unarmed_identical);
     out.metric("obs.armed_overhead_frac",
                median(armed_s) / median(unarmed_s) - 1.0, "frac");
 }
