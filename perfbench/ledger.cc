@@ -107,21 +107,17 @@ class RecordingSink final : public trace::OpSink
     const sample::IntervalLayout* layout_;
 };
 
-/** Median seconds of `reps` calls of `fn`, each a span named `name`. */
+/** Seconds of one call of `fn`, recorded as a span named `name`. */
 template <typename Fn>
 double
-timed(int reps, obs::TraceWriter* trace, const char* name,
-      const char* layer, Fn&& fn)
+timed(obs::TraceWriter* trace, const char* name, const char* layer, Fn&& fn)
 {
-    std::vector<double> times;
-    for (int r = 0; r < reps; ++r) {
-        const double start_us = trace != nullptr ? trace->now_us() : 0.0;
-        const auto start = Clock::now();
-        fn();
-        times.push_back(seconds_since(start));
-        span(trace, name, layer, start_us);
-    }
-    return median(times);
+    const double start_us = trace != nullptr ? trace->now_us() : 0.0;
+    const auto start = Clock::now();
+    fn();
+    const double s = seconds_since(start);
+    span(trace, name, layer, start_us);
+    return s;
 }
 
 }  // namespace
@@ -152,59 +148,71 @@ measure_ledger(std::uint64_t seed, std::uint64_t op_budget, int reps,
         out.warm_ops += b.represented.total();
 
     LedgerWorkload workload;
-    out.direct_s = timed(reps, trace, "ledger.direct", "core", [&] {
-        g_keep = g_keep + core::run_workload(workload, config).cycles;
-    });
-    out.datagen_s = timed(reps, trace, "ledger.datagen", "datagen", [&] {
-        datagen::TextGenerator text(kVocab, 1.0, seed);
-        std::size_t words = 0;
-        for (std::uint64_t d = 0; d < docs; ++d)
-            words += text.next_document(kMeanWords).words.size();
-        g_keep = g_keep + static_cast<double>(words);
-    });
-    const double driver_s = timed(reps, trace, "ledger.emit", "trace", [&] {
-        NullSink null;
-        drive(null, seed, op_budget);
-    });
-    out.emit_s = driver_s - out.datagen_s;
-    out.cpu_s = timed(reps, trace, "ledger.cpu", "cpu", [&] {
-        cpu::Core core(config.core_config, config.memory_config);
-        std::size_t at = 0;
-        for (std::size_t n : exact.batches) {
-            core.consume_batch(exact.ops.data() + at, n);
-            at += n;
-        }
-        g_keep = g_keep + core.cycles();
-    });
-    out.warm_s = timed(reps, trace, "ledger.cpu_warm", "cpu", [&] {
-        cpu::Core core(config.core_config, config.memory_config);
-        core.set_sample_layout(layout);
-        std::size_t at = 0;
-        for (const RecordingSink::WarmBatch& b : sampled.warm_batches) {
-            core.consume_warm_batch(sampled.warm.data() + at, b.n,
-                                    b.represented);
-            at += b.n;
-        }
-        g_keep = g_keep + static_cast<double>(core.caches().l1d_misses());
-    });
-    out.mem_s = timed(reps, trace, "ledger.mem", "mem", [&] {
-        mem::CacheHierarchy caches(config.memory_config);
-        std::uint64_t latency = 0;
-        std::uint64_t accesses = 0;
-        for (const trace::MicroOp& op : exact.ops) {
-            latency += caches.fetch(op.fetch_addr).latency;
-            if (op.cls == trace::OpClass::kLoad ||
-                op.cls == trace::OpClass::kStore) {
-                latency += caches
-                               .data_access(op.addr,
-                                            op.cls == trace::OpClass::kStore)
-                               .latency;
-                ++accesses;
+    // One call of each part per repetition, interleaved, so host drift
+    // over the probe hits the direct run and its parts alike.
+    std::vector<double> direct_s, datagen_s, driver_s, cpu_s, warm_s, mem_s;
+    for (int r = 0; r < reps; ++r) {
+        direct_s.push_back(timed(trace, "ledger.direct", "core", [&] {
+            g_keep = g_keep + core::run_workload(workload, config).cycles;
+        }));
+        datagen_s.push_back(timed(trace, "ledger.datagen", "datagen", [&] {
+            datagen::TextGenerator text(kVocab, 1.0, seed);
+            std::size_t words = 0;
+            for (std::uint64_t d = 0; d < docs; ++d)
+                words += text.next_document(kMeanWords).words.size();
+            g_keep = g_keep + static_cast<double>(words);
+        }));
+        driver_s.push_back(timed(trace, "ledger.emit", "trace", [&] {
+            NullSink null;
+            drive(null, seed, op_budget);
+        }));
+        cpu_s.push_back(timed(trace, "ledger.cpu", "cpu", [&] {
+            cpu::Core core(config.core_config, config.memory_config);
+            std::size_t at = 0;
+            for (std::size_t n : exact.batches) {
+                core.consume_batch(exact.ops.data() + at, n);
+                at += n;
             }
-        }
-        out.mem_accesses = exact.ops.size() + accesses;
-        g_keep = g_keep + static_cast<double>(latency);
-    });
+            g_keep = g_keep + core.cycles();
+        }));
+        warm_s.push_back(timed(trace, "ledger.cpu_warm", "cpu", [&] {
+            cpu::Core core(config.core_config, config.memory_config);
+            core.set_sample_layout(layout);
+            std::size_t at = 0;
+            for (const RecordingSink::WarmBatch& b : sampled.warm_batches) {
+                core.consume_warm_batch(sampled.warm.data() + at, b.n,
+                                        b.represented);
+                at += b.n;
+            }
+            g_keep =
+                g_keep + static_cast<double>(core.caches().l1d_misses());
+        }));
+        mem_s.push_back(timed(trace, "ledger.mem", "mem", [&] {
+            mem::CacheHierarchy caches(config.memory_config);
+            std::uint64_t latency = 0;
+            std::uint64_t accesses = 0;
+            for (const trace::MicroOp& op : exact.ops) {
+                latency += caches.fetch(op.fetch_addr).latency;
+                if (op.cls == trace::OpClass::kLoad ||
+                    op.cls == trace::OpClass::kStore) {
+                    latency +=
+                        caches
+                            .data_access(op.addr,
+                                         op.cls == trace::OpClass::kStore)
+                            .latency;
+                    ++accesses;
+                }
+            }
+            out.mem_accesses = exact.ops.size() + accesses;
+            g_keep = g_keep + static_cast<double>(latency);
+        }));
+    }
+    out.direct_s = median(direct_s);
+    out.datagen_s = median(datagen_s);
+    out.emit_s = median(driver_s) - out.datagen_s;
+    out.cpu_s = median(cpu_s);
+    out.warm_s = median(warm_s);
+    out.mem_s = median(mem_s);
     span(trace, "ledger", "ledger", ledger_start_us);
     return out;
 }

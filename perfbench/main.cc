@@ -10,8 +10,7 @@
  *   OPS <attempted> <failed>
  *
  * Usage: perfbench --workload NAME [--seed N] [--seconds S] [--trace 0|1]
- *                  [--threads N] [--t0-ns NS] [--setup-only]
- *                  [--trace-out FILE]
+ *                  [--t0-ns NS] [--setup-only] [--trace-out FILE]
  *
  * --t0-ns is CLOCK_MONOTONIC (steady_clock) when the caller spawned the
  * process, so set-up includes exec, loading and static initialisation.
@@ -104,9 +103,6 @@ main(int argc, char** argv)
             options.seconds = std::strtod(argv[++i], nullptr);
         else if (arg == "--trace" && has_value)
             options.trace = std::strcmp(argv[++i], "0") != 0;
-        else if (arg == "--threads" && has_value)
-            options.threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
         else if (arg == "--t0-ns" && has_value)
             t0_ns = std::strtoll(argv[++i], nullptr, 10);
         else if (arg == "--trace-out" && has_value)
@@ -116,8 +112,8 @@ main(int argc, char** argv)
         else
             return usage(("unknown argument " + arg).c_str());
     }
-    if (options.threads == 0 || !(options.seconds > 0.0))
-        return usage("--threads and --seconds must be positive");
+    if (!(options.seconds > 0.0))
+        return usage("--seconds must be positive");
 
     std::unique_ptr<Workload> workload = prepare(options);
     if (workload == nullptr)
@@ -135,13 +131,13 @@ main(int argc, char** argv)
         return 0;
 
     std::printf("# provenance {\"workload\": \"%s\", \"seed\": %llu, "
-                "\"threads\": %u, \"nproc\": %ld, "
+                "\"nproc\": %ld, "
                 "\"hardware_concurrency\": %u, \"build_type\": \"%s\", "
                 "\"ndebug\": %s, \"compiler\": \"%s\", \"seconds\": %g, "
                 "\"trace\": %s, %s}\n",
                 options.workload.c_str(),
                 static_cast<unsigned long long>(options.seed),
-                options.threads, sysconf(_SC_NPROCESSORS_ONLN),
+                sysconf(_SC_NPROCESSORS_ONLN),
                 std::thread::hardware_concurrency(), PERFBENCH_BUILD_TYPE,
 #ifdef NDEBUG
                 "true",

@@ -31,6 +31,12 @@ seconds_since(Clock::time_point start)
 /** Median of a non-empty sample (copies; samples are small). */
 double median(std::vector<double> values);
 
+/**
+ * Worker threads of the suite pool and of the untimed N-thread engine
+ * runs: 4, or the host's hardware threads when it has fewer.
+ */
+unsigned worker_threads();
+
 /** Command-line options of one benchmark run. */
 struct Options
 {
@@ -41,8 +47,6 @@ struct Options
     bool trace = false;
     /** Stop after set-up (the runner repeats set-up to take a median). */
     bool setup_only = false;
-    /** Worker threads of the suite pool and the sharded engine. */
-    unsigned threads = 4;
     /** Where the traced run writes its spans ("" = not written). */
     std::string trace_out;
 };
@@ -81,7 +85,26 @@ struct Report
     /** Record an output check; a failed one counts as a failed op. */
     void check(const std::string& name, bool ok,
                const std::string& detail = "");
+    /**
+     * Record the per-layer metrics of a layer this workload does not
+     * use, at 0. A traced run then names every per-layer metric, and
+     * one a workload fails to report is caught as missing.
+     */
+    void unused(const std::vector<Metric>& layer_metrics)
+    {
+        metrics.insert(metrics.end(), layer_metrics.begin(),
+                       layer_metrics.end());
+    }
 };
+
+/**
+ * The per-layer metrics, at 0, that only the suites report, only the
+ * sampled suite, only the clusters, and only the armed chaos workload.
+ */
+extern const std::vector<Metric> kSuiteLayerMetrics;
+extern const std::vector<Metric> kSampleLayerMetrics;
+extern const std::vector<Metric> kClusterLayerMetrics;
+extern const std::vector<Metric> kObsLayerMetrics;
 
 /**
  * A prepared workload. Preparation is the set-up the benchmark times

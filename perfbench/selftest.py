@@ -67,10 +67,17 @@ def summarize_rules(spec, failures):
     result, _ = run.summarize(spec, found(e2e, ops=(10, 1)), [0.01], 0)
     check(failures, not result["correct"] and result["failed"] == 1,
           "a failed output check fails the run")
-    result, _ = run.summarize(spec, found({}), [0.01], 1)
+    layer = {m["name"]: (0.0, m["unit"]) for m in spec["per_layer"]}
+    result, _ = run.summarize(spec, found(layer), [0.01], 1)
     check(failures, result["correct"] and
-          all(m["value"] == 0.0 for m in result["metrics"].values()),
-          "per-layer metrics of unused layers read 0")
+          set(result["metrics"]) == set(layer),
+          "a complete traced report is correct and has every per-layer "
+          "metric")
+    name = next(iter(layer))
+    result, _ = run.summarize(
+        spec, found({k: v for k, v in layer.items() if k != name}), [0.01], 1)
+    check(failures, not result["correct"],
+          "a missing per-layer metric fails a traced run")
 
 
 def main():
