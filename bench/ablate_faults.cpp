@@ -6,25 +6,23 @@
  * times already absorb retried attempts and speculative copies. This
  * sweep makes that robustness cost visible: the eleven data-analysis
  * jobs run on eight slaves under increasing task-crash rates, plus one
- * scenario that kills a slave mid-job. Every job must still complete
- * (that is the point of the Hadoop recovery machinery) and mean job
- * time must rise monotonically with the fault rate.
- *
- * --trace-out FILE writes the node-crash scenario's cluster timeline
- * (task attempts, retries, speculation, blacklists, fault epochs) as
- * Chrome trace-event JSON for chrome://tracing / ui.perfetto.dev.
+ * scenario that kills a slave mid-job. Each job is a one-submission run
+ * of the fair-share scheduler, and its time is the finish time of its
+ * last task. Every job must still complete (that is the point of the
+ * Hadoop recovery machinery) and mean job time must rise monotonically
+ * with the fault rate.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <memory>
 
 #include "bench_common.h"
 
 #include "fault/fault.h"
-#include "mapreduce/scheduler.h"
+#include "mapreduce/fairshare.h"
+#include "util/assert.h"
 #include "util/csv.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 #include "util/table.h"
 #include "workloads/data_analysis.h"
@@ -34,7 +32,6 @@ namespace {
 struct SweepPoint
 {
     double mean_total_s = 0.0;
-    double mean_recovery_s = 0.0;
     std::uint32_t task_failures = 0;
     std::uint32_t max_attempts_seen = 1;
     std::uint32_t completed = 0;
@@ -44,68 +41,67 @@ struct SweepPoint
 
 SweepPoint
 run_point(const dcb::fault::FaultPlan& plan, dcb::util::CsvWriter* csv,
-          double rate_label, dcb::obs::TraceWriter* trace = nullptr)
+          double rate_label)
 {
     using namespace dcb;
-    const mapreduce::ClusterScheduler scheduler;
+    const mapreduce::MultiJobScheduler scheduler;
     mapreduce::ClusterConfig cluster;
     cluster.slaves = 8;
-    cluster.fault = plan;
 
     SweepPoint point;
-    for (const std::string& name : workloads::data_analysis_names()) {
-        const auto workload = workloads::make_workload(name);
-        const auto& spec = workload->info().cluster_spec;
-        fault::FaultInjector injector(plan);
-        const auto run = scheduler.run(spec, cluster, &injector, trace,
-                                       name);
+    const auto& names = workloads::data_analysis_names();
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        const std::string& name = names[w];
+        // Every run is job 0 of its own submission list and task fates
+        // hash (seed, job, task, attempt), so each workload draws from
+        // its own seed or all eleven would replay the same crashes.
+        fault::FaultPlan job_plan = plan;
+        job_plan.seed = util::mix64(plan.seed ^ (0xAB1A7EULL + w));
+        fault::FaultInjector injector(job_plan);
+        mapreduce::JobSubmission sub;
+        sub.spec = workloads::make_workload(name)->info().cluster_spec;
+        sub.name = name;
+        mapreduce::MultiJobOptions options;
+        options.injector = &injector;
+        const mapreduce::MultiJobResult result =
+            scheduler.run({sub}, cluster, options);
+        DCB_CONFIG_CHECK(result.ok, result.error.c_str());
+        const mapreduce::JobOutcome& job = result.jobs.front();
+        const double total_s = job.finish_s - job.submit_s;
         ++point.jobs;
-        if (run.completed)
+        if (job.completed)
             ++point.completed;
         else if (point.first_error.empty())
-            point.first_error = name + ": " + run.error;
-        point.mean_total_s += run.timings.total_s;
-        point.mean_recovery_s += run.recovery_s;
-        point.task_failures += run.task_failures;
+            point.first_error = name + ": " + job.error;
+        point.mean_total_s += total_s;
+        point.task_failures += job.task_failures;
         point.max_attempts_seen =
-            std::max(point.max_attempts_seen, run.max_task_attempts);
+            std::max(point.max_attempts_seen, job.max_task_attempts);
         if (csv) {
             csv->add_row({name, util::format_double(rate_label, 4),
-                          util::format_double(run.timings.total_s, 2),
-                          std::to_string(run.max_task_attempts),
-                          std::to_string(run.task_failures),
-                          run.completed ? "1" : "0"});
+                          util::format_double(total_s, 2),
+                          std::to_string(job.max_task_attempts),
+                          std::to_string(job.task_failures),
+                          job.completed ? "1" : "0"});
         }
     }
     point.mean_total_s /= point.jobs;
-    point.mean_recovery_s /= point.jobs;
     return point;
 }
 
 }  // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     using namespace dcb;
     using util::format_double;
 
-    std::string trace_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strncmp(argv[i], "--trace-out=", 12) == 0)
-            trace_path = argv[i] + 12;
-    }
-    std::unique_ptr<obs::TraceWriter> trace;
-    if (!trace_path.empty())
-        trace = std::make_unique<obs::TraceWriter>();
-
-    const mapreduce::SchedulerConfig policy;  // Hadoop 1.x defaults
+    const mapreduce::FairShareConfig policy;  // Hadoop 1.x defaults
     const double rates[] = {0.0, 0.005, 0.01, 0.02, 0.05};
 
-    util::Table table({"task-crash rate", "mean job s", "recovery s",
-                       "task failures", "worst attempts", "completed"});
+    util::Table table({"task-crash rate", "mean job s", "task failures",
+                       "worst attempts", "completed"});
     table.set_title("ablation: task-crash rate sweep (11 DA jobs, "
                     "8 slaves)");
     util::CsvWriter csv({"workload", "rate", "total_s", "max_attempts",
@@ -121,7 +117,6 @@ main(int argc, char** argv)
         const SweepPoint p = run_point(plan, &csv, rate);
         table.add_row({format_double(100 * rate, 1) + "%",
                        format_double(p.mean_total_s, 1),
-                       format_double(p.mean_recovery_s, 1),
                        std::to_string(p.task_failures),
                        std::to_string(p.max_attempts_seen),
                        std::to_string(p.completed) + "/" +
@@ -133,7 +128,6 @@ main(int argc, char** argv)
         prev_mean = p.mean_total_s;
     }
     table.print();
-    csv.write_file("ablate_faults.csv");
 
     // One slave dies a minute into the task timeline while 2% of task
     // attempts also crash -- the "unplugged a rack machine" experiment.
@@ -141,21 +135,12 @@ main(int argc, char** argv)
     crash_plan.task_crash_prob = 0.02;
     crash_plan.node_crash_time_s = 60.0;
     crash_plan.crash_node = 3;
-    const SweepPoint crash =
-        run_point(crash_plan, &csv, -1.0, trace.get());
-    if (trace != nullptr) {
-        if (trace->write(trace_path))
-            std::printf("wrote %s (%zu trace events)\n",
-                        trace_path.c_str(), trace->size());
-        else
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         trace_path.c_str());
-    }
+    const SweepPoint crash = run_point(crash_plan, &csv, -1.0);
+    csv.write_file("ablate_faults.csv");
     std::printf("\nnode 3 dies at t=60s under 2%% task crashes: "
-                "%u/%u jobs complete, mean %.1fs "
-                "(mean recovery %.1fs, worst attempts %u)\n\n",
+                "%u/%u jobs complete, mean %.1fs (worst attempts %u)\n\n",
                 crash.completed, crash.jobs, crash.mean_total_s,
-                crash.mean_recovery_s, crash.max_attempts_seen);
+                crash.max_attempts_seen);
 
     // Past the envelope the bounded retry is supposed to cover, jobs
     // must give up with a diagnostic, not hang or abort: at a 10%

@@ -3,12 +3,12 @@
  * Observability demo: exercises every span source in one run and
  * writes one Chrome trace-event / Perfetto file that contains all of
  * them -- per-workload harness runs and interval telemetry (exact
- * runs), sampling-engine segments (a sampled run), the cluster
- * scheduler's task attempts, retries, speculation and fault epochs (a
- * faulty MapReduce job), and the sharded multi-job engine with the
- * labeled metrics registry armed (epoch barriers, fair-share grants,
- * per-barrier snapshots). This is the file the CI observability step
- * validates and the README's Perfetto quick-start opens.
+ * runs), sampling-engine segments (a sampled run), and the sharded
+ * multi-job engine under a node-crash fault plan with the labeled
+ * metrics registry armed (job phases, epoch barriers, fair-share
+ * grants, fault epochs, per-barrier snapshots). This is the file the CI
+ * observability step validates and the README's Perfetto quick-start
+ * opens.
  *
  * Usage: ./obs_demo [--ops N] [--obs-interval N] [--obs-out PREFIX]
  *                   [--trace-out FILE] [--obs-metrics-out FILE]
@@ -31,7 +31,6 @@
 
 #include "fault/fault.h"
 #include "mapreduce/fairshare.h"
-#include "mapreduce/scheduler.h"
 
 int
 main(int argc, char** argv)
@@ -109,26 +108,7 @@ main(int argc, char** argv)
                 names.front().c_str(), sampled_run.report.ipc,
                 sampled_run.wall_seconds);
 
-    // --- Faulty cluster job: task spans + fault epochs ------------------
-    const mapreduce::ClusterScheduler scheduler;
-    mapreduce::ClusterConfig cluster;
-    cluster.slaves = 8;
-    fault::FaultPlan plan;
-    plan.task_crash_prob = 0.02;
-    plan.node_crash_time_s = 60.0;
-    plan.crash_node = 3;
-    cluster.fault = plan;
-    fault::FaultInjector injector(plan);
-    const auto workload = workloads::make_workload(names.front());
-    const mapreduce::JobRun job =
-        scheduler.run(workload->info().cluster_spec, cluster, &injector,
-                      sinks.trace.get(), names.front());
-    std::printf("cluster job: %s in %.1f sim-s, %u task failures, "
-                "%u node(s) lost\n",
-                job.completed ? "completed" : "FAILED",
-                job.timings.total_s, job.task_failures, job.nodes_lost);
-
-    // --- Sharded multi-job run: metrics registry + cluster-clock trace --
+    // --- Faulty sharded multi-job run: metrics + cluster-clock trace ----
     std::vector<mapreduce::JobSubmission> fleet;
     for (std::uint32_t j = 0; j < 3; ++j) {
         mapreduce::JobSubmission sub;
@@ -142,18 +122,28 @@ main(int argc, char** argv)
     mapreduce::ClusterConfig mj_cluster;
     mj_cluster.slaves = 32;
     mj_cluster.racks = 4;
+    fault::FaultPlan plan;
+    plan.task_crash_prob = 0.02;
+    plan.node_crash_time_s = 60.0;
+    plan.crash_node = 3;
+    fault::FaultInjector injector(plan);
     mapreduce::MultiJobOptions mj_opt;
     mj_opt.threads = 2;
+    mj_opt.injector = &injector;
     mj_opt.trace = sinks.trace.get();
     mj_opt.metrics = bench::metrics_registry();
     const mapreduce::MultiJobScheduler fair_scheduler;
     const mapreduce::MultiJobResult mj =
         fair_scheduler.run(fleet, mj_cluster, mj_opt);
+    std::uint32_t task_failures = 0;
+    for (const mapreduce::JobOutcome& job : mj.jobs)
+        task_failures += job.task_failures;
     std::printf("multi-job run: %s, %zu jobs, makespan %.1f sim-s, "
-                "%llu epochs\n",
+                "%llu epochs, %u task failures, %u node(s) lost\n",
                 mj.ok && mj.all_completed() ? "completed" : "FAILED",
                 mj.jobs.size(), mj.makespan_s,
-                static_cast<unsigned long long>(mj.epochs));
+                static_cast<unsigned long long>(mj.epochs), task_failures,
+                mj.cluster.nodes_lost);
     suite.shard_barrier_wait_seconds.clear();
     suite.shard_steals.clear();
     for (const mapreduce::ShardStats& st : mj.shards) {
@@ -165,19 +155,17 @@ main(int argc, char** argv)
 
     bench::manifest().set("demo_workloads",
                           static_cast<std::uint64_t>(names.size()));
-    bench::manifest().set("demo_job_completed", job.completed);
     bench::manifest().set("demo_multijob_completed",
                           mj.ok && mj.all_completed());
 
     // --- Shape checks: the trace really holds every span source ---------
     const obs::TraceWriter& trace = *sinks.trace;
     std::printf("\ntrace: %zu events -- workload %zu, sampling %zu, "
-                "task %zu, phase %zu, scheduler %zu, fault %zu\n\n",
+                "phase %zu, sched %zu, fault %zu\n\n",
                 trace.size(), trace.count_category("workload"),
                 trace.count_category("sampling"),
-                trace.count_category("task"),
                 trace.count_category("phase"),
-                trace.count_category("scheduler"),
+                trace.count_category("sched"),
                 trace.count_category("fault"));
     bool ok = true;
     ok &= core::shape_check("every exact run produced telemetry",
@@ -187,19 +175,15 @@ main(int argc, char** argv)
                                 names.size() + 1);
     ok &= core::shape_check("sampling segment spans recorded",
                             trace.count_category("sampling") > 0);
-    ok &= core::shape_check("scheduler task spans recorded",
-                            trace.count_category("task") > 0);
-    ok &= core::shape_check("map/shuffle/reduce phase spans recorded",
+    ok &= core::shape_check("map/reduce phase spans recorded",
                             trace.count_category("phase") >= 3);
     ok &= core::shape_check("fault epochs recorded",
                             trace.count_category("fault") > 0);
-    ok &= core::shape_check("the faulty job still completed",
-                            job.completed);
     ok &= core::shape_check("epoch barrier spans recorded",
                             trace.count_category("epoch") > 0);
     ok &= core::shape_check("fair-share grant instants recorded",
                             trace.count_category("sched") > 0);
-    ok &= core::shape_check("the multi-job fleet completed",
+    ok &= core::shape_check("the faulty multi-job fleet completed",
                             mj.ok && mj.all_completed());
     const obs::MetricsRegistry& metrics = *sinks.metrics;
     ok &= core::shape_check("metrics registry holds series",

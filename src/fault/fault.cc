@@ -144,8 +144,8 @@ planned_task_crash(const FaultPlan& plan, std::uint64_t attempt_key,
         util::mix64(plan.seed ^ util::mix64(0xC7A54ULL ^ attempt_key));
     if (hash01(h) >= plan.task_crash_prob)
         return false;
-    // Same support as the injector's stream draw: crash mid-attempt,
-    // never exactly at the start or end.
+    // Crash somewhere in the middle of the attempt, never exactly at the
+    // start or end (those degenerate into free retries / completions).
     if (crash_fraction != nullptr)
         *crash_fraction = 0.05 + 0.9 * hash01(util::mix64(h));
     return true;
@@ -188,41 +188,13 @@ FaultInjector::draw(double prob, FaultKind kind)
 }
 
 bool
-FaultInjector::task_crashes(std::uint32_t task, std::uint32_t attempt,
-                            double* crash_fraction)
-{
-    if (plan_.task_crash_prob <= 0.0)
-        return false;
-    if (rng_.next_double() >= plan_.task_crash_prob)
-        return false;
-    // Crash somewhere in the middle of the attempt, never exactly at the
-    // start or end (those degenerate into free retries / completions).
-    const double f = 0.05 + 0.9 * rng_.next_double();
-    if (crash_fraction != nullptr)
-        *crash_fraction = f;
-    log_.record({FaultKind::kTaskCrash, now_s_, 0, task, attempt});
-    return true;
-}
-
-bool
-FaultInjector::task_hangs(std::uint32_t task, std::uint32_t attempt)
-{
-    if (plan_.task_hang_prob <= 0.0)
-        return false;
-    if (rng_.next_double() >= plan_.task_hang_prob)
-        return false;
-    log_.record({FaultKind::kTaskHang, now_s_, 0, task, attempt});
-    return true;
-}
-
-bool
 FaultInjector::cascade_fires(std::uint64_t trigger,
                              std::uint32_t node_count,
                              std::uint32_t* victim)
 {
     if (plan_.cascade_prob <= 0.0 || node_count == 0)
         return false;
-    // Stateless like node_speed_multiplier: the decision is a pure
+    // Stateless like planned_speed_multiplier: the decision is a pure
     // function of (seed, trigger), so replays agree regardless of when
     // the recovery window is examined.
     const std::uint64_t h =
@@ -237,12 +209,6 @@ FaultInjector::cascade_fires(std::uint64_t trigger,
         *victim = node;
     log_.record({FaultKind::kCascade, now_s_, node, 0, 0});
     return true;
-}
-
-double
-FaultInjector::node_speed_multiplier(std::uint32_t node)
-{
-    return planned_speed_multiplier(plan_, node);
 }
 
 bool

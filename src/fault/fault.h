@@ -117,14 +117,10 @@ struct FaultPlan
 /** Empty string when the plan is sane, else a clear error message. */
 std::string validate(const FaultPlan& plan);
 
-// ---- Stateless plan-keyed draws (shared with the sharded engine) ----
+// ---- Stateless plan-keyed draws (the cluster engine's fault fates) ----
 //
-// The injector's should_* stream is order-dependent (one RNG draw per
-// call), which is fine for the serial scheduler but unusable inside
-// parallel shards. These free functions are pure functions of the plan
-// and a caller-chosen key, so any shard can evaluate them in any order
-// and serial/sharded runs agree bit for bit. The injector's own
-// stateless paths (slow nodes, cascades) delegate to them.
+// Pure functions of the plan and a caller-chosen key, so any shard can
+// evaluate them in any order and serial/sharded runs agree bit for bit.
 
 /** Slow-node multiplier of `node` under `plan` (1.0 or slow_multiplier). */
 double planned_speed_multiplier(const FaultPlan& plan, std::uint32_t node);
@@ -168,13 +164,13 @@ class FaultLog
 };
 
 /**
- * Turns a FaultPlan into a deterministic decision stream.
+ * Holds a run's FaultPlan and its fault log.
  *
- * Each `should_*` call consumes one RNG draw, so the decision sequence
- * is a pure function of (seed, call order); the discrete-event scheduler
- * processes events in a deterministic order, which makes whole runs
- * reproducible. Slow-node status is stateless (hashed from the seed and
- * node id) so it does not depend on call order at all.
+ * The OS-layer draws (disk / network errors) consume one RNG draw per
+ * call, so their sequence is a pure function of (seed, call order).
+ * Cluster faults never touch that stream: task fates are the stateless
+ * planned_* draws above, and cascades are hashed from the seed and a
+ * trigger id, so they do not depend on call order at all.
  */
 class FaultInjector
 {
@@ -182,20 +178,6 @@ class FaultInjector
     explicit FaultInjector(const FaultPlan& plan = FaultPlan{});
 
     const FaultPlan& plan() const { return plan_; }
-
-    /**
-     * Does this task attempt crash? When true, `*crash_fraction` is the
-     * fraction of the attempt's runtime completed before the crash.
-     */
-    bool task_crashes(std::uint32_t task, std::uint32_t attempt,
-                      double* crash_fraction);
-
-    /**
-     * Does this task attempt hang (run forever without finishing)?
-     * Consumes one draw only when task_hang_prob > 0, so plans without
-     * hangs keep their pre-existing decision streams.
-     */
-    bool task_hangs(std::uint32_t task, std::uint32_t attempt);
 
     /**
      * Does recovery window `trigger` (a caller-chosen stable id, e.g. a
@@ -207,9 +189,6 @@ class FaultInjector
      */
     bool cascade_fires(std::uint64_t trigger, std::uint32_t node_count,
                        std::uint32_t* victim);
-
-    /** Task-time multiplier of `node` (1.0, or slow_multiplier). */
-    double node_speed_multiplier(std::uint32_t node);
 
     /** OS-layer per-operation faults (logged with no cluster clock). */
     bool disk_read_fails();

@@ -6,22 +6,24 @@
  * Cluster-level job-time simulation for the Figure 2 speedup experiment.
  *
  * The paper runs the eleven workloads on 1/4/8 Hadoop slaves and reports
- * speedups ranging 3.3-8.2 at eight slaves. Two models live here:
+ * speedups ranging 3.3-8.2 at eight slaves. Two fault-free models live
+ * here:
  *
  *  - ClusterSimulator::analytic_run() is the closed-form discrete-phase
  *    model: fixed job and per-task overheads, disk-bound vs CPU-bound
  *    phases, the all-to-all shuffle over shared 1 GbE, HDFS output
  *    replication, and straggler slack that grows with the task
- *    population. It has no failure path and serves as the fault-free
- *    reference.
+ *    population.
  *
- *  - ClusterSimulator::run() delegates to the discrete-event, task-level
- *    ClusterScheduler (scheduler.h), which reproduces Hadoop 1.x
- *    recovery semantics: per-task retry with bounded attempts,
- *    exponential re-scheduling backoff, speculative execution of
- *    stragglers, node blacklisting, and re-execution of map output lost
- *    to node failures. At zero fault rate it matches the analytic model
- *    to within task-wave quantization.
+ *  - ClusterSimulator::run() is the task-wave model behind Figures 2
+ *    and 5: the integral task populations of derive_task_profile
+ *    (scheduler.h) run as slot-limited waves, so it matches the analytic
+ *    model to within wave quantization (ceil(tasks/slots) vs
+ *    tasks/slots).
+ *
+ * Jobs under faults -- retries, speculation, node and rack loss,
+ * partitions, master failover -- run attempt by attempt on the
+ * fair-share scheduler (fairshare.h), one submission per job.
  *
  * Per-workload compute intensity comes straight from Table I (retired
  * instructions / input bytes).
@@ -30,7 +32,6 @@
 #include <cstdint>
 #include <string>
 
-#include "fault/fault.h"
 #include "os/disk.h"
 #include "os/network.h"
 
@@ -63,9 +64,11 @@ struct ClusterConfig
     std::uint32_t slaves = 4;
     /**
      * Racks the slaves are spread over (contiguous blocks; see
-     * fault::Topology). Purely a fault domain: placement and timing are
-     * rack-oblivious, so racks only matters when the FaultPlan schedules
-     * a correlated (rack / partition) fault. Clamped to [1, slaves].
+     * fault::Topology), in [1, slaves]. The wave model ignores racks; the
+     * fair-share scheduler runs one shard per rack, places map tasks
+     * rack-aware (off-rack launches pay its remote penalty), drains
+     * cross-rack shuffle through per-rack uplinks, and takes racks as
+     * the fault domain of rack power loss and partitions.
      */
     std::uint32_t racks = 1;
     std::uint32_t cores_per_node = 12;     ///< 2 sockets x 6 cores
@@ -79,8 +82,6 @@ struct ClusterConfig
     double straggler_sigma = 0.12;
     os::DiskParams disk;
     os::NetworkParams network;
-    /** Faults injected into every job run; all-zero means fault-free. */
-    fault::FaultPlan fault;
 };
 
 /** Empty string when the config is runnable, else a clear error. */
@@ -105,15 +106,15 @@ struct JobTimings
 double straggler_factor(double sigma, double tasks);
 
 /**
- * Cluster simulator facade. run() executes the discrete-event scheduler
- * under the config's FaultPlan; analytic_run() is the closed-form
- * fault-free reference the scheduler is regression-checked against.
+ * Fault-free single-job timing. run() is the task-wave model behind the
+ * figures; analytic_run() is the continuous reference it is
+ * regression-checked against.
  */
 class ClusterSimulator
 {
   public:
-    /** Simulate one job on the given cluster (fatal on bad configs;
-        use mapreduce::validate() first for recoverable checking). */
+    /** Time one job on the given cluster (fatal on bad configs; use
+        mapreduce::validate() first for recoverable checking). */
     JobTimings run(const JobSpec& job, const ClusterConfig& cluster) const;
 
     /** Closed-form fault-free reference model. */

@@ -23,6 +23,17 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
     advertised bound. */
 constexpr double kShardAttemptEpsilon =
     obs::QuantileSketch::kDefaultEpsilon / 2.0;
+/** Speculation (mapred.speculative.execution): an attempt still running
+    this multiple of its task's profile time gets one backup copy on
+    another node; with no slot free the check repeats this fraction of
+    the profile time later. */
+constexpr double kSpeculativeSlowdown = 1.5;
+constexpr double kSpeculativeRecheck = 0.5;
+/** Graceful degradation, under an armed plan: once a job phase's failed
+    attempts exceed this share of its tasks, the phase sheds speculation
+    and widens every backoff by this factor. */
+constexpr double kDegradeFailureRatio = 0.05;
+constexpr double kDegradedBackoffFactor = 4.0;
 
 // ---- Shard-local event kinds -----------------------------------------
 enum : std::uint32_t {
@@ -37,6 +48,7 @@ enum : std::uint32_t {
     kEvPartitionHeal,    ///< whole shard
     kEvMasterKill,       ///< failover: kill every live attempt
     kEvWake,             ///< no-op: forces a barrier at this time
+    kEvKill,             ///< a=job b=task c=node d=packed: losing backup
 };
 
 // ---- Shard -> coordinator message kinds ------------------------------
@@ -159,13 +171,24 @@ struct TaskState
     TaskStatus status = TaskStatus::kPending;
     std::uint16_t attempt_no = 0;     ///< launches (incl. killed requeues)
     std::uint16_t attempts_used = 0;  ///< FAILED charges vs max_attempts
+    bool backed_up = false;           ///< latest attempt is a backup
+    std::uint32_t done_node = 0;      ///< where a finished map's output is
     double done_time = -1.0;
 };
 
 struct RunningRec
 {
     std::uint32_t node = 0;
+    std::uint32_t packed = 0;
     double grant_time = 0.0;
+};
+
+/** First copy `attempt` of `task` is due a speculation check at `due`. */
+struct SpecCheck
+{
+    double due = 0.0;
+    std::uint32_t task = 0;
+    std::uint32_t attempt = 0;
 };
 
 struct JobState
@@ -187,6 +210,19 @@ struct JobState
     std::vector<std::pair<double, std::uint32_t>> delayed;
     std::uint32_t running = 0;
     double last_completion = 0.0;
+    /** Failed attempts in the current phase, and whether they have
+        pushed the phase into degraded mode. */
+    std::uint32_t pressure = 0;
+    bool degraded = false;
+    /**
+     * The current phase's speculation checks. Every task of a phase has
+     * the same profile time and grants happen at nondecreasing barrier
+     * times, so first checks (grant + 1.5x) and rechecks (barrier +
+     * 0.5x) each come due in FIFO order: a barrier pops only what is
+     * due, with no heap.
+     */
+    std::deque<SpecCheck> spec_first;
+    std::deque<SpecCheck> spec_recheck;
 };
 
 struct NodeMirror
@@ -498,6 +534,23 @@ shard_kill_node(Sim& sim, std::uint32_t s, std::uint32_t node,
              node, sim.topo.rack_of(node));
 }
 
+/** The coordinator's verdict on the losing copy of a speculated task:
+    retire it without a report (the coordinator settled its books). */
+void
+shard_kill(Sim& sim, std::uint32_t s, const ShardEvent& ev, ShardApi& api)
+{
+    ShardLocal& sh = sim.shards[s];
+    const std::vector<std::uint32_t>& running = sim.nodes[ev.c].running;
+    for (auto it = running.rbegin(); it != running.rend(); ++it) {
+        Attempt& att = sh.attempts[*it];
+        if (att.live && att.job == ev.a && att.task == ev.b &&
+            att.packed == ev.d) {
+            retire_attempt(sim, s, att, api.now());
+            return;
+        }
+    }
+}
+
 void
 shard_event(Sim& sim, std::uint32_t s, const ShardEvent& ev,
             ShardApi& api)
@@ -567,6 +620,9 @@ shard_event(Sim& sim, std::uint32_t s, const ShardEvent& ev,
       }
       case kEvWake:
         break;
+      case kEvKill:
+        shard_kill(sim, s, ev, api);
+        break;
       default:
         DCB_EXPECTS_MSG(false, "unknown shard event kind");
     }
@@ -601,6 +657,10 @@ start_map_phase(Sim& sim, std::uint32_t j, double now)
     job.shuffle_ready = 0.0;
     job.done_in_phase = 0;
     job.phase_start = now;
+    job.pressure = 0;
+    job.degraded = false;
+    job.spec_first.clear();
+    job.spec_recheck.clear();
     job.tasks.assign(job.profile.map_count, TaskState{});
     job.ready.clear();
     for (std::uint32_t t = 0; t < job.profile.map_count; ++t)
@@ -621,6 +681,10 @@ start_reduce_phase(Sim& sim, std::uint32_t j, double now)
     job.in_reduce = true;
     job.done_in_phase = 0;
     job.phase_start = now;
+    job.pressure = 0;
+    job.degraded = false;
+    job.spec_first.clear();
+    job.spec_recheck.clear();
     job.tasks.assign(job.profile.reduce_count, TaskState{});
     job.ready.clear();
     for (std::uint32_t t = 0; t < job.profile.reduce_count; ++t)
@@ -655,6 +719,22 @@ finish_job(Sim& sim, std::uint32_t j, double time_s, bool completed,
     }
 }
 
+/** Give a slot back to the coordinator's mirror of a live node. */
+void
+release_slot(Sim& sim, std::uint32_t node, bool is_reduce)
+{
+    NodeMirror& nm = sim.mirror[node];
+    if (!nm.alive)
+        return;
+    if (is_reduce) {
+        if (nm.free_reduce < sim.cluster.reduce_slots)
+            ++nm.free_reduce;
+    } else {
+        if (nm.free_map < sim.cluster.map_slots)
+            ++nm.free_map;
+    }
+}
+
 /**
  * Shared cleanup for every terminal message: drop the attempt record,
  * release the slot mirror, and decide whether the message should drive
@@ -680,16 +760,7 @@ consume_terminal(Sim& sim, const ShardMessage& msg,
     JobState& job = sim.jobs[msg.a];
     if (job.running > 0)
         --job.running;
-    NodeMirror& nm = sim.mirror[msg.c];
-    if (nm.alive) {
-        if (is_reduce) {
-            if (nm.free_reduce < sim.cluster.reduce_slots)
-                ++nm.free_reduce;
-        } else {
-            if (nm.free_map < sim.cluster.map_slots)
-                ++nm.free_map;
-        }
-    }
+    release_slot(sim, msg.c, is_reduce);
     if (job.finished)
         return false;
     DCB_EXPECTS(packed_iter(msg.d) == job.iter);
@@ -703,6 +774,90 @@ requeue_task(JobState& job, std::uint32_t task)
 {
     job.tasks[task].status = TaskStatus::kPending;
     job.ready.push_back(task);
+}
+
+/**
+ * The still-running other copy of attempt `attempt` of a task in the
+ * job's current phase, or end(). A task launches nothing while a copy
+ * is live except its one backup, so its live copies are always its
+ * latest attempt and, when that is a backup, the attempt before it.
+ * Tasks never backed up skip the lookup.
+ */
+std::unordered_map<std::uint64_t, RunningRec>::iterator
+find_twin(Sim& sim, std::uint32_t j, std::uint32_t task,
+          std::uint32_t attempt)
+{
+    const JobState& job = sim.jobs[j];
+    const TaskState& ts = job.tasks[task];
+    if (!ts.backed_up)
+        return sim.running_attempts.end();
+    const std::uint32_t latest = ts.attempt_no;
+    const std::uint32_t twin = attempt == latest ? attempt - 1 : latest;
+    return sim.running_attempts.find(
+        attempt_key(j, job.iter, job.in_reduce, task, twin));
+}
+
+/** First copy home wins: kill the other one, if it still runs, and
+    count its runtime so far as waste. */
+void
+kill_twin(Sim& sim, Coordinator& co, std::uint32_t j, std::uint32_t task,
+          std::uint32_t attempt, double barrier_s)
+{
+    const auto it = find_twin(sim, j, task, attempt);
+    if (it == sim.running_attempts.end())
+        return;
+    const RunningRec rec = it->second;
+    sim.running_attempts.erase(it);
+    JobState& job = sim.jobs[j];
+    --job.running;
+    release_slot(sim, rec.node, job.in_reduce);
+    job.out.wasted_task_s += barrier_s - rec.grant_time;
+    co.push(sim.topo.rack_of(rec.node), barrier_s, kEvKill, j, task,
+            rec.node, rec.packed);
+    if (sim.metrics != nullptr)
+        ++sim.job_metrics[j].kills_tally;
+}
+
+/** A failed attempt adds to its phase's fault pressure; past the ratio
+    the phase degrades (armed plans only). */
+void
+note_pressure(Sim& sim, std::uint32_t j, double time_s)
+{
+    JobState& job = sim.jobs[j];
+    ++job.pressure;
+    if (!sim.armed || job.degraded ||
+        job.pressure <= kDegradeFailureRatio * job.tasks.size())
+        return;
+    job.degraded = true;
+    job.spec_first.clear();
+    job.spec_recheck.clear();
+    ++job.out.degraded_phases;
+    if (sim.trace != nullptr)
+        sim.trace->instant("degraded", "sched",
+                           obs::TraceWriter::kClusterPid, 910000 + j,
+                           time_s * 1e6);
+}
+
+/** A dead node takes the map output it holds with it: jobs still in
+    their map phase run those maps again, with no attempt charged. */
+void
+lose_map_output(Sim& sim, std::uint32_t node)
+{
+    for (JobState& job : sim.jobs) {
+        if (!job.admitted || job.finished || job.in_reduce)
+            continue;
+        for (std::uint32_t t = 0; t < job.tasks.size(); ++t) {
+            TaskState& task = job.tasks[t];
+            if (task.status != TaskStatus::kDone || task.done_node != node)
+                continue;
+            task.done_time = -1.0;
+            --job.done_in_phase;
+            --job.out.maps_completed;
+            ++job.out.maps_reexecuted;
+            job.out.wasted_task_s += job.profile.map_task_s;
+            requeue_task(job, t);
+        }
+    }
 }
 
 void
@@ -800,12 +955,17 @@ apply_master_crash(Sim& sim, Coordinator& co, double barrier_s)
                 ++sim.out.tasks_lost_to_failover;
                 job.ready.push_back(t);
             } else if (task.status == TaskStatus::kRunning) {
-                const std::uint64_t key = attempt_key(
-                    j, job.iter, job.in_reduce, t, task.attempt_no);
-                const auto it = sim.running_attempts.find(key);
-                if (it != sim.running_attempts.end())
-                    job.out.wasted_task_s += std::max(
-                        0.0, crash - it->second.grant_time);
+                // The latest attempt, and the one before it when the
+                // latest is its backup (see find_twin).
+                for (const std::uint32_t no :
+                     {std::uint32_t{task.attempt_no},
+                      task.attempt_no - 1u}) {
+                    const auto it = sim.running_attempts.find(
+                        attempt_key(j, job.iter, job.in_reduce, t, no));
+                    if (it != sim.running_attempts.end())
+                        job.out.wasted_task_s += std::max(
+                            0.0, crash - it->second.grant_time);
+                }
                 requeue_task(job, t);
             }
         }
@@ -856,7 +1016,10 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
         JobState& job = sim.jobs[msg.a];
         TaskState& task = job.tasks[msg.b];
         task.status = TaskStatus::kDone;
+        task.done_node = msg.c;
         task.done_time = msg.time;
+        kill_twin(sim, co, msg.a, msg.b, packed_attempt_no(msg.d),
+                  barrier_s);
         ++job.done_in_phase;
         if (job.in_reduce)
             ++job.out.reduces_completed;
@@ -889,6 +1052,7 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
             ++sim.job_metrics[msg.a].failures_tally;
         ++sim.mirror[msg.c].failures;
         maybe_blacklist(sim, msg.c, msg.time);
+        note_pressure(sim, msg.a, msg.time);
         // max_task_attempts is tallied at launch (charged attempts
         // actually started), so nothing to update here: when the budget
         // is exhausted no further attempt ever launches.
@@ -902,6 +1066,10 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
             finish_job(sim, msg.a, msg.time, false, err);
             return;
         }
+        // A surviving speculative copy makes the retry unnecessary.
+        if (find_twin(sim, msg.a, msg.b, packed_attempt_no(msg.d)) !=
+            sim.running_attempts.end())
+            break;
         const std::uint64_t key =
             attempt_key(msg.a, packed_iter(msg.d),
                         (msg.d & kFlagReduce) != 0, msg.b,
@@ -909,6 +1077,8 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
         double delay = sim.cfg.backoff_base_s;
         for (std::uint32_t i = 1; i < task.attempts_used; ++i)
             delay *= sim.cfg.backoff_factor;
+        if (job.degraded)
+            delay *= kDegradedBackoffFactor;
         delay *= backoff_jitter_factor(sim.plan.seed, key,
                                        sim.cfg.backoff_jitter);
         task.status = TaskStatus::kDelayed;
@@ -928,7 +1098,9 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
         if (stranded)
             ++job.out.watchdog_kills;
         job.out.wasted_task_s += msg.x;
-        requeue_task(job, msg.b);
+        if (find_twin(sim, msg.a, msg.b, packed_attempt_no(msg.d)) ==
+            sim.running_attempts.end())
+            requeue_task(job, msg.b);
         if (sim.metrics != nullptr)
             ++sim.job_metrics[msg.a].kills_tally;
         if (sim.trace != nullptr)
@@ -945,10 +1117,11 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
                 nm.alive = false;
                 nm.free_map = 0;
                 nm.free_reduce = 0;
-                // A dead blacklisted node keeps its cap slot (matches
-                // the serial scheduler): freeing it would let the
-                // cumulative blacklist count outrun the 25% invariant.
+                // A dead blacklisted node keeps its cap slot: freeing
+                // it would let the cumulative blacklist count outrun
+                // the 25% invariant.
                 ++sim.out.nodes_lost;
+                lose_map_output(sim, msg.b);
             }
             record_fault(sim, kind, msg.time, msg.b, 0, 0);
         } else if (kind == fault::FaultKind::kRackPowerLoss) {
@@ -993,11 +1166,99 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
     }
 }
 
+/**
+ * Rack-aware placement: the first schedulable node with a free slot of
+ * the phase's kind, scanning the task's preferred rack (input splits
+ * round-robin over racks) first, then the others in order, and never
+ * `exclude`. Returns -1 when no node qualifies.
+ */
+std::int64_t
+place(const Sim& sim, std::uint32_t task, bool is_reduce,
+      std::int64_t exclude = -1)
+{
+    const std::uint32_t racks = sim.topo.racks();
+    const std::uint32_t preferred = task % racks;
+    for (std::uint32_t off = 0; off < racks; ++off) {
+        const std::uint32_t r = (preferred + off) % racks;
+        for (std::uint32_t n = sim.topo.rack_begin(r);
+             n < sim.topo.rack_end(r); ++n) {
+            // Free slots first: on a busy cluster most nodes fail there.
+            const NodeMirror& nm = sim.mirror[n];
+            if ((is_reduce ? nm.free_reduce : nm.free_map) != 0 &&
+                nm.alive && !nm.partitioned && !nm.blacklisted &&
+                n != exclude)
+                return n;
+        }
+    }
+    return -1;
+}
+
+/** Grant one attempt of `task` in job `j`'s current phase on node `n`.
+    Every first copy gets a speculation check, a backup none. */
+void
+launch(Sim& sim, Coordinator& co, std::uint32_t j, std::uint32_t task,
+       std::uint32_t n, double barrier_s, bool backup)
+{
+    JobState& job = sim.jobs[j];
+    const bool is_reduce = job.in_reduce;
+    NodeMirror& nm = sim.mirror[n];
+    if (is_reduce)
+        --nm.free_reduce;
+    else
+        --nm.free_map;
+    const bool remote =
+        !is_reduce && sim.topo.rack_of(n) != task % sim.topo.racks();
+    const double speed =
+        sim.armed ? fault::planned_speed_multiplier(sim.plan, n) : 1.0;
+    const double task_s =
+        is_reduce ? job.profile.reduce_task_s : job.profile.map_task_s;
+    const double nominal =
+        task_s * speed * (remote ? sim.cfg.remote_penalty : 1.0);
+    TaskState& ts = job.tasks[task];
+    ++ts.attempt_no;
+    ts.backed_up = backup;
+    ts.status = TaskStatus::kRunning;
+    const std::uint32_t packed = pack_attempt(
+        ts.attempt_no, job.iter,
+        (is_reduce ? kFlagReduce : 0u) | (remote ? kFlagRemote : 0u));
+    sim.running_attempts[attempt_key(j, job.iter, is_reduce, task,
+                                     ts.attempt_no)] = {n, packed,
+                                                        barrier_s};
+    ++job.running;
+    if (job.out.first_launch_s < 0.0)
+        job.out.first_launch_s = barrier_s;
+    if (!is_reduce) {
+        if (remote)
+            ++job.out.remote_map_launches;
+        else
+            ++job.out.local_map_launches;
+    }
+    job.out.max_task_attempts = std::max<std::uint32_t>(
+        job.out.max_task_attempts, ts.attempts_used + 1u);
+    co.push(sim.topo.rack_of(n), barrier_s, kEvLaunch, j, task, n, packed,
+            nominal);
+    if (sim.metrics != nullptr)
+        ++sim.job_metrics[j].grants_tally;
+    if (backup) {
+        ++job.out.speculative_launched;
+        if (sim.trace != nullptr)
+            sim.trace->instant("speculate", "sched",
+                               obs::TraceWriter::kClusterPid, 910000 + j,
+                               barrier_s * 1e6);
+        return;
+    }
+    if (sim.trace != nullptr)
+        (remote ? sim.grant_tids_remote : sim.grant_tids_local)
+            .push_back(910000 + static_cast<std::uint64_t>(j));
+    if (!job.degraded)
+        job.spec_first.push_back(
+            {barrier_s + kSpeculativeSlowdown * task_s, task, ts.attempt_no});
+}
+
 /** One weighted fair-share grant pass; returns grants made. */
 std::uint64_t
 grant_pass(Sim& sim, Coordinator& co, double barrier_s)
 {
-    const std::uint32_t racks = sim.topo.racks();
     std::vector<char> stalled(sim.jobs.size(), 0);
     std::uint64_t grants = 0;
     for (;;) {
@@ -1019,80 +1280,64 @@ grant_pass(Sim& sim, Coordinator& co, double barrier_s)
         }
         if (best < 0)
             break;
-        JobState& job = sim.jobs[static_cast<std::size_t>(best)];
+        const auto j = static_cast<std::uint32_t>(best);
+        JobState& job = sim.jobs[j];
         const std::uint32_t task = job.ready.front();
-        const bool is_reduce = job.in_reduce;
-        // Rack-aware placement: the task's preferred rack first (input
-        // splits round-robin over racks), then the others in order.
-        const std::uint32_t preferred = task % racks;
-        std::int64_t node = -1;
-        std::uint32_t rack = 0;
-        for (std::uint32_t off = 0; off < racks && node < 0; ++off) {
-            const std::uint32_t r = (preferred + off) % racks;
-            for (std::uint32_t n = sim.topo.rack_begin(r);
-                 n < sim.topo.rack_end(r); ++n) {
-                const NodeMirror& nm = sim.mirror[n];
-                if (!nm.alive || nm.partitioned || nm.blacklisted)
-                    continue;
-                if ((is_reduce ? nm.free_reduce : nm.free_map) == 0)
-                    continue;
-                node = n;
-                rack = r;
-                break;
-            }
-        }
+        const std::int64_t node = place(sim, task, job.in_reduce);
         if (node < 0) {
-            stalled[static_cast<std::size_t>(best)] = 1;
+            stalled[j] = 1;
             continue;
         }
         job.ready.pop_front();
-        const auto n = static_cast<std::uint32_t>(node);
-        NodeMirror& nm = sim.mirror[n];
-        if (is_reduce)
-            --nm.free_reduce;
-        else
-            --nm.free_map;
-        const bool remote = !is_reduce && rack != preferred;
-        const double speed =
-            sim.armed ? fault::planned_speed_multiplier(sim.plan, n)
-                      : 1.0;
-        const double nominal = (is_reduce ? job.profile.reduce_task_s
-                                          : job.profile.map_task_s) *
-                               speed *
-                               (remote ? sim.cfg.remote_penalty : 1.0);
-        TaskState& ts = job.tasks[task];
-        ++ts.attempt_no;
-        ts.status = TaskStatus::kRunning;
-        const std::uint32_t packed = pack_attempt(
-            ts.attempt_no, job.iter,
-            (is_reduce ? kFlagReduce : 0u) | (remote ? kFlagRemote : 0u));
-        sim.running_attempts[attempt_key(
-            static_cast<std::uint32_t>(best), job.iter, is_reduce, task,
-            ts.attempt_no)] = {n, barrier_s};
-        ++job.running;
-        if (job.out.first_launch_s < 0.0)
-            job.out.first_launch_s = barrier_s;
-        if (!is_reduce) {
-            if (remote)
-                ++job.out.remote_map_launches;
-            else
-                ++job.out.local_map_launches;
-        }
-        job.out.max_task_attempts = std::max<std::uint32_t>(
-            job.out.max_task_attempts, ts.attempts_used + 1u);
-        co.push(sim.topo.rack_of(n), barrier_s, kEvLaunch,
-                static_cast<std::uint32_t>(best), task, n, packed,
-                nominal);
-        if (sim.metrics != nullptr)
-            ++sim.job_metrics[static_cast<std::size_t>(best)]
-                  .grants_tally;
-        if (sim.trace != nullptr)
-            (remote ? sim.grant_tids_remote : sim.grant_tids_local)
-                .push_back(910000 +
-                           static_cast<std::uint64_t>(best));
+        launch(sim, co, j, task, static_cast<std::uint32_t>(node),
+               barrier_s, false);
         ++grants;
     }
     return grants;
+}
+
+/**
+ * Speculation pass, after the grants: every first copy that has run
+ * kSpeculativeSlowdown x its task's profile time without reporting gets
+ * one backup on another node, in a slot the grant pass left free. Only
+ * the due checks are touched; a check that finds no slot is retried
+ * kSpeculativeRecheck x the profile time later.
+ */
+void
+speculate(Sim& sim, Coordinator& co, double barrier_s)
+{
+    for (std::uint32_t j = 0; j < sim.jobs.size(); ++j) {
+        JobState& job = sim.jobs[j];
+        if (!job.admitted || job.finished)
+            continue;
+        const double task_s =
+            job.in_reduce ? job.profile.reduce_task_s : job.profile.map_task_s;
+        for (std::deque<SpecCheck>* queue :
+             {&job.spec_recheck, &job.spec_first}) {
+            while (!queue->empty() && queue->front().due <= barrier_s) {
+                SpecCheck check = queue->front();
+                queue->pop_front();
+                // Still the task's latest attempt, and still running: no
+                // report yet and no backup (a backup is the next attempt).
+                const TaskState& ts = job.tasks[check.task];
+                if (ts.status != TaskStatus::kRunning ||
+                    ts.attempt_no != check.attempt)
+                    continue;
+                const std::uint64_t key = attempt_key(
+                    j, job.iter, job.in_reduce, check.task, check.attempt);
+                const std::int64_t node =
+                    place(sim, check.task, job.in_reduce,
+                          sim.running_attempts.at(key).node);
+                if (node < 0) {
+                    check.due = barrier_s + kSpeculativeRecheck * task_s;
+                    job.spec_recheck.push_back(check);
+                    continue;
+                }
+                launch(sim, co, j, check.task,
+                       static_cast<std::uint32_t>(node), barrier_s, true);
+            }
+        }
+    }
 }
 
 /** The barrier callback: the whole serial coordinator. */
@@ -1179,11 +1424,14 @@ on_barrier(Sim& sim, double barrier_s,
         }
     }
 
-    // (e) Weighted fair-share grants (suspended during failover).
+    // (e) Weighted fair-share grants, then backups for stragglers
+    // (both suspended during failover).
     std::uint64_t grants = 0;
     if (!(sim.master_crash_applied && !sim.failover_done &&
-          barrier_s < sim.frozen_until))
+          barrier_s < sim.frozen_until)) {
         grants = grant_pass(sim, co, barrier_s);
+        speculate(sim, co, barrier_s);
+    }
 
     // (f) Continue, wake, or stop.
     bool any_active = false;
@@ -1430,13 +1678,15 @@ MultiJobResult::dump() const
             "first_launch=%.17g finish=%.17g maps=%" PRIu64
             " reduces=%" PRIu64
             " failures=%u watchdog=%u max_attempts=%u local=%" PRIu64
-            " remote=%" PRIu64 " wasted=%.17g uplink_wait=%.17g\n",
+            " remote=%" PRIu64 " wasted=%.17g uplink_wait=%.17g"
+            " speculative=%u reexecuted=%u degraded=%u\n",
             j.name.c_str(), j.completed ? 1 : 0,
             j.error.empty() ? "-" : j.error.c_str(), j.submit_s,
             j.first_launch_s, j.finish_s, j.maps_completed,
             j.reduces_completed, j.task_failures, j.watchdog_kills,
             j.max_task_attempts, j.local_map_launches,
-            j.remote_map_launches, j.wasted_task_s, j.uplink_wait_s);
+            j.remote_map_launches, j.wasted_task_s, j.uplink_wait_s,
+            j.speculative_launched, j.maps_reexecuted, j.degraded_phases);
         out += buf;
         std::snprintf(buf, sizeof buf,
                       "job_attempts name=%s n=%" PRIu64
@@ -1524,6 +1774,31 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
         }
     }
 
+    // A fault aimed at a node or rack the cluster does not have is a
+    // configuration error, never a fault to wrap onto another target.
+    if (options.injector != nullptr) {
+        const fault::FaultPlan& plan = options.injector->plan();
+        const auto outside = [&](const char* field, std::uint32_t target,
+                                 std::uint32_t count, const char* unit) {
+            result.error = std::string("FaultPlan.") + field + " " +
+                           std::to_string(target) + " is outside the " +
+                           std::to_string(count) + "-" + unit +
+                           " cluster";
+        };
+        if (plan.node_crash_time_s >= 0.0 &&
+            plan.crash_node >= cluster.slaves)
+            outside("crash_node", plan.crash_node, cluster.slaves, "node");
+        else if (plan.rack_crash_time_s >= 0.0 &&
+                 plan.crash_rack >= cluster.racks)
+            outside("crash_rack", plan.crash_rack, cluster.racks, "rack");
+        else if (plan.partition_time_s >= 0.0 &&
+                 plan.partition_rack >= cluster.racks)
+            outside("partition_rack", plan.partition_rack, cluster.racks,
+                    "rack");
+        if (!result.error.empty())
+            return result;
+    }
+
     Sim sim;
     sim.cfg = config_;
     sim.cluster = cluster;
@@ -1533,8 +1808,7 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
     if (options.injector != nullptr)
         sim.plan = options.injector->plan();
     sim.armed = options.injector != nullptr && sim.plan.any_faults();
-    sim.topo = fault::Topology(cluster.slaves,
-                               std::max<std::uint32_t>(cluster.racks, 1));
+    sim.topo = fault::Topology(cluster.slaves, cluster.racks);
     const std::uint32_t shard_count = sim.topo.racks();
 
     sim.nodes.resize(cluster.slaves);
@@ -1656,23 +1930,20 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
     if (sim.armed) {
         const fault::FaultPlan& plan = sim.plan;
         if (plan.node_crash_time_s >= 0.0) {
-            const std::uint32_t victim =
-                plan.crash_node % cluster.slaves;
-            engine.seed_event(sim.topo.rack_of(victim),
+            engine.seed_event(sim.topo.rack_of(plan.crash_node),
                               plan.node_crash_time_s, kEvNodeCrash,
-                              victim);
+                              plan.crash_node);
             sim.last_fault_time =
                 std::max(sim.last_fault_time, plan.node_crash_time_s);
         }
         if (plan.rack_crash_time_s >= 0.0) {
-            engine.seed_event(plan.crash_rack % shard_count,
-                              plan.rack_crash_time_s, kEvRackCrash);
+            engine.seed_event(plan.crash_rack, plan.rack_crash_time_s,
+                              kEvRackCrash);
             sim.last_fault_time =
                 std::max(sim.last_fault_time, plan.rack_crash_time_s);
         }
         if (plan.partition_time_s >= 0.0) {
-            const std::uint32_t rack =
-                plan.partition_rack % shard_count;
+            const std::uint32_t rack = plan.partition_rack;
             engine.seed_event(rack, plan.partition_time_s,
                               kEvPartitionBegin);
             engine.seed_event(rack,

@@ -5,11 +5,10 @@
  * @file
  * Multi-job fair-share scheduler on the sharded discrete-event core.
  *
- * The serial ClusterScheduler runs one job at a time on a global event
- * queue; this scheduler runs dozens of concurrent jobs over a
- * 100-1000-node cluster by mapping every rack to one ShardedEngine
- * shard. The split of responsibilities follows the engine's lookahead
- * contract (shard_engine.h):
+ * The one event-driven cluster engine: dozens of concurrent jobs over a
+ * 100-1000-node cluster, or a single job as a one-submission run. Every
+ * rack maps to one ShardedEngine shard. The split of responsibilities
+ * follows the engine's lookahead contract (shard_engine.h):
  *
  *  - Shard-local (parallel, lock-free): task attempt execution with
  *    per-attempt duration jitter from the shard's private RNG stream,
@@ -26,16 +25,20 @@
  *    weighted fair-share slot granting (argmin of running/weight, so a
  *    job's steady-state slot share is proportional to its weight),
  *    rack-aware placement (preferred rack first, off-rack launches pay
- *    remote_penalty), retry backoff with deterministic jitter,
- *    blacklisting with the 25% cap and partition forgiveness,
+ *    remote_penalty), speculative backups for attempts that overrun
+ *    1.5x their task's profile time (first copy home wins, the other is
+ *    killed), re-execution of map output lost with its node, retry
+ *    backoff with deterministic jitter, graceful degradation of a job
+ *    phase under heavy failure pressure (speculation shed, backoff
+ *    widened), blacklisting with the 25% cap and partition forgiveness,
  *    JobTracker checkpoint / failover, and recovery-window cascades.
  *
- * Per-task nominal times come from the same TaskProfile the serial
- * scheduler derives (scheduler.h), so both engines price a task
- * identically. The scheduler inherits the engine's determinism: a
- * 1-thread run, an N-thread run and a replay produce bit-identical
- * MultiJobResult dumps (tests/shard_engine_test.cc), and the chaos
- * harness drives its scenarios through both engines.
+ * Per-task nominal times come from derive_task_profile (scheduler.h),
+ * the same truth the fault-free wave model uses. The scheduler inherits
+ * the engine's determinism: a 1-thread run, an N-thread run and a
+ * replay produce bit-identical MultiJobResult dumps
+ * (tests/shard_engine_test.cc), and the chaos harness holds every
+ * scenario to that.
  */
 
 #include <cstdint>
@@ -134,6 +137,13 @@ struct JobOutcome
     /** Queueing delay this job's shuffle output accumulated on shared
         rack uplinks (the cross-job contention signal). */
     double uplink_wait_s = 0.0;
+    /** Backup copies launched for stragglers. */
+    std::uint32_t speculative_launched = 0;
+    /** Completed maps run again because their node died before the
+        job's reduce phase (no attempt charged). */
+    std::uint32_t maps_reexecuted = 0;
+    /** Phases that degraded under failure pressure. */
+    std::uint32_t degraded_phases = 0;
     /**
      * Completed-attempt duration distribution: shard-local GK sketches
      * (built at half the reporting epsilon) merged in fixed shard
@@ -238,8 +248,9 @@ class MultiJobScheduler
     explicit MultiJobScheduler(const FairShareConfig& config = {});
 
     /**
-     * Run all submissions to completion. Config errors are reported in
-     * MultiJobResult::error (ok = false), never fatal. Job-level
+     * Run all submissions to completion. Config errors, including a
+     * fault plan that targets a node or rack the cluster lacks, are
+     * reported in MultiJobResult::error (ok = false), never fatal. Job-level
      * failures (task out of attempts, no schedulable nodes left) fail
      * that JobOutcome and the rest of the cluster keeps running.
      */

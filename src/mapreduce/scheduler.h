@@ -3,184 +3,22 @@
 
 /**
  * @file
- * Discrete-event, task-level cluster scheduler with Hadoop 1.x recovery
- * semantics.
+ * Per-task timing truth shared by every cluster model.
  *
- * The analytic model (ClusterSimulator::analytic_run) predicts phase
- * times in closed form but has no failure path. This scheduler executes
- * each job attempt by attempt on an event queue: map tasks are assigned
- * to slot-limited nodes as slots free up, reduce tasks run as one wave
- * after the shuffle, and everything that can go wrong under the run's
- * FaultPlan is recovered the way Hadoop 1.0.2 recovers it:
- *
- *  - a crashed task attempt is re-queued with exponential backoff until
- *    `max_attempts` is exhausted (then the whole job fails);
- *  - a node that accumulates `blacklist_task_failures` failed attempts
- *    is blacklisted: running work continues, new work avoids it;
- *  - attempts still running `speculative_slowdown` past the nominal
- *    task time get a speculative copy on another node (first finisher
- *    wins, the loser is killed and its runtime counted as waste);
- *  - a node crash kills the node's running attempts (re-queued without
- *    counting against max_attempts, as Hadoop distinguishes KILLED from
- *    FAILED) and, until the shuffle has completed, loses its finished
- *    map output, which is re-executed on the surviving nodes.
- *
- * On top of the 1.x semantics the scheduler is self-healing against the
- * correlated, topology-aware fault kinds (fault/topology.h):
- *
- *  - a per-task watchdog kills attempts that exceed their deadline
- *    (task_timeout_factor x speed-adjusted nominal time): hung tasks on
- *    healthy nodes are FAILED (count against the retry budget), tasks
- *    stranded on dead or partitioned nodes are KILLED and requeued
- *    immediately;
- *  - retry backoff carries deterministic seeded jitter so a correlated
- *    failure burst does not re-collide on the same instant;
- *  - a network partition makes a rack unschedulable and defers its
- *    completions until the heal; healed nodes are un-blacklisted and
- *    their failure counts forgiven (partition-aware blacklisting);
- *  - rack power loss is a node crash over the whole rack at once;
- *  - a JobTracker (master) crash loses in-flight attempts and any
- *    completions after the last periodic checkpoint; a standby resumes
- *    deterministically from that checkpoint after failover_delay_s;
- *  - recovery windows (partition heal, master failover) can cascade
- *    into dependent node crashes under FaultPlan.cascade_prob;
- *  - under heavy fault pressure (failed + watchdog-killed attempts
- *    above degrade_failure_ratio of a phase's tasks) the scheduler
- *    degrades gracefully: speculation is shed and backoff widened
- *    instead of thrashing the remaining slots.
- *
- * Per-task service times are derived from the same Table I rates the
- * analytic model uses, so with a zero fault plan the two agree to within
- * task-wave quantization (ceil(tasks/slots) vs tasks/slots) -- this is
- * regression-checked in tests/scheduler_test.cc, and the zero-fault
- * event path is additionally golden-hash guarded: every fault hook is
- * armed only when the injector's plan can actually fire.
+ * derive_task_profile turns one job on one cluster into the integral task
+ * populations and nominal per-task service times the analytic model
+ * implies. ClusterSimulator::run (cluster.h) runs those tasks as
+ * closed-form waves for the fault-free Figure 2 / Figure 5 timings; the
+ * fair-share scheduler (fairshare.h) executes them attempt by attempt
+ * under faults. expected_task_counts is the population a completed job
+ * must have produced, the chaos harness's invariant anchor.
  */
 
 #include <cstdint>
-#include <string>
 
-#include "fault/fault.h"
 #include "mapreduce/cluster.h"
-#include "obs/quantile.h"
-#include "obs/trace_writer.h"
 
 namespace dcb::mapreduce {
-
-/** Recovery-policy knobs (Hadoop 1.x mapred-site defaults). */
-struct SchedulerConfig
-{
-    /** mapred.map/reduce.max.attempts: total tries per task. */
-    std::uint32_t max_attempts = 4;
-    /** First re-scheduling delay after a failed attempt. */
-    double backoff_base_s = 2.0;
-    /** Backoff grows by this factor per subsequent failure. */
-    double backoff_factor = 2.0;
-    /** Launch a speculative copy when an attempt has run this multiple
-        of the nominal task time (mapred.speculative.execution). */
-    double speculative_slowdown = 1.5;
-    bool speculation = true;
-    /** Failed attempts on one node before it is blacklisted for the
-        rest of the job (mapred.max.tracker.failures). */
-    std::uint32_t blacklist_task_failures = 4;
-
-    // ---- Self-healing knobs (armed only under a live fault plan) ----
-    /**
-     * Watchdog deadline: an attempt still running past this multiple of
-     * its speed-adjusted nominal task time is killed and rescheduled
-     * (mapred.task.timeout analogue). Must exceed speculative_slowdown
-     * so speculation gets first shot at stragglers.
-     */
-    double task_timeout_factor = 6.0;
-    /** Retry backoff jitter: each backoff is scaled by a deterministic
-        seeded factor in [1-jitter, 1+jitter] so correlated failure
-        bursts fan out instead of re-colliding. */
-    double backoff_jitter = 0.25;
-    /** JobTracker checkpoint period on the task timeline (simulated
-        seconds); a master crash resumes from the last multiple. */
-    double checkpoint_interval_s = 30.0;
-    /** Pause before the standby JobTracker takes over after a master
-        crash; nothing launches during the failover window. */
-    double failover_delay_s = 10.0;
-    /**
-     * Graceful degradation: once failed + watchdog-killed attempts in a
-     * phase exceed this fraction of its task population, speculation is
-     * shed and every subsequent backoff is widened by
-     * degraded_backoff_factor -- the scheduler stops amplifying load on
-     * a cluster that is already failing.
-     */
-    double degrade_failure_ratio = 0.05;
-    double degraded_backoff_factor = 4.0;
-};
-
-std::string validate(const SchedulerConfig& config);
-
-/** Everything one scheduled job produced. */
-struct JobRun
-{
-    JobTimings timings;
-    /** False when the job could not finish (task out of attempts, or
-        every node dead/blacklisted with work remaining). */
-    bool completed = true;
-    std::string error;
-
-    /** Highest attempt count any single task needed (1 = first try). */
-    std::uint32_t max_task_attempts = 1;
-    /** Failed (crashed) task attempts across the job. */
-    std::uint32_t task_failures = 0;
-    /** Speculative copies launched / killed-after-losing. */
-    std::uint32_t speculative_launched = 0;
-    std::uint32_t speculative_wasted = 0;
-    /** Completed map tasks re-executed because their node died. */
-    std::uint32_t maps_reexecuted = 0;
-    std::uint32_t nodes_lost = 0;
-    std::uint32_t nodes_blacklisted = 0;
-    /** Task-seconds spent on attempts that produced no output. */
-    double wasted_task_s = 0.0;
-    /** Extra wall-clock versus the same run with no faults. */
-    double recovery_s = 0.0;
-
-    // ---- Correlated-fault / self-healing accounting -------------------
-    /** Attempts killed by the per-task deadline watchdog. */
-    std::uint32_t watchdog_kills = 0;
-    /** Racks lost to power faults (their nodes also count in
-        nodes_lost). */
-    std::uint32_t racks_lost = 0;
-    /** Partition epochs begun / healed. */
-    std::uint32_t partitions = 0;
-    std::uint32_t partition_heals = 0;
-    /** Blacklists cleared because the node's partition healed. */
-    std::uint32_t nodes_unblacklisted = 0;
-    /** Master crashes survived via checkpoint failover. */
-    std::uint32_t master_failovers = 0;
-    /** Checkpoints the JobTracker had taken when it crashed. */
-    std::uint32_t checkpoints_taken = 0;
-    /** Task completions preserved by / redone after the failover. */
-    std::uint32_t tasks_restored = 0;
-    std::uint32_t tasks_lost_to_failover = 0;
-    /** Dependent faults fired inside recovery windows. */
-    std::uint32_t cascades_triggered = 0;
-    /** Phases that entered degraded mode (speculation shed). */
-    std::uint32_t degraded_phases = 0;
-    /**
-     * Final task completions per phase kind, summed over iterations.
-     * The chaos invariant: a completed job has produced exactly the
-     * analytic-model population (expected_task_counts).
-     */
-    std::uint64_t maps_completed = 0;
-    std::uint64_t reduces_completed = 0;
-
-    // ---- Attempt-duration distribution --------------------------------
-    /**
-     * GK sketch over the durations of *winning* task attempts (map and
-     * reduce, all iterations) -- speculation jitter, stragglers and
-     * crash-restarts show up as tail spread. Deterministic (replay
-     * invariant) but deliberately NOT part of the golden-hash field
-     * list; `attempt_durations` carries the extracted percentiles.
-     */
-    obs::QuantileSketch attempt_sketch;
-    obs::LatencyStats attempt_durations;
-};
 
 /** The analytic-model task population of one job on one cluster. */
 struct TaskCounts
@@ -192,10 +30,10 @@ struct TaskCounts
 /**
  * Per-iteration task population and service rates of one job on one
  * cluster, derived from the same Table I rates the analytic model uses.
- * This is the single source of per-task timing truth: the serial
- * discrete-event scheduler (this file) and the sharded multi-job engine
- * (fairshare.h) both consume it, so a job's nominal task times agree
- * across engines to the last bit.
+ * This is the single source of per-task timing truth: the wave model
+ * (ClusterSimulator::run) and the fair-share engine (fairshare.h) both
+ * consume it, so a job's nominal task times agree across models to the
+ * last bit.
  */
 struct TaskProfile
 {
@@ -225,38 +63,6 @@ TaskProfile derive_task_profile(const JobSpec& job,
  */
 TaskCounts expected_task_counts(const JobSpec& job,
                                 const ClusterConfig& cluster);
-
-/** The discrete-event scheduler; stateless across run() calls. */
-class ClusterScheduler
-{
-  public:
-    explicit ClusterScheduler(const SchedulerConfig& config = {});
-
-    /**
-     * Execute one job. Faults come from `injector` (nullptr = fault
-     * free); decisions and the event log stay in the injector so the
-     * caller can inspect them. Config errors are returned in
-     * JobRun::error, not fatal.
-     *
-     * With `trace` set the whole job lifecycle lands on the simulated
-     * cluster timeline (obs::TraceWriter::kClusterPid, simulated
-     * seconds scaled to trace microseconds): every task attempt is a
-     * span on its node's lane with its outcome (finish / crash /
-     * killed backup / lost with the node), retries, speculation,
-     * blacklisting and node crashes are instants, map/shuffle/reduce
-     * phases are spans on a job lane, and the injector's fault log is
-     * replayed as fault-epoch instants. Tracing is observation only --
-     * scheduling decisions and JobRun are bit-identical with or
-     * without it. `job_name` labels the lanes.
-     */
-    JobRun run(const JobSpec& job, const ClusterConfig& cluster,
-               fault::FaultInjector* injector = nullptr,
-               obs::TraceWriter* trace = nullptr,
-               const std::string& job_name = "job") const;
-
-  private:
-    SchedulerConfig config_;
-};
 
 }  // namespace dcb::mapreduce
 

@@ -5,11 +5,11 @@
  * @file
  * Sharded conservative-barrier discrete-event core.
  *
- * The serial ClusterScheduler walks one global event queue, which caps
- * it at a few hundred simulated nodes. This engine partitions the
- * simulation into shards (the multi-job scheduler maps one rack to one
- * shard), each with its own event queue, RNG stream and outbox, and
- * advances all shards in parallel between epoch barriers:
+ * One global event queue caps a discrete-event cluster model at a few
+ * hundred simulated nodes. This engine partitions the simulation into
+ * shards (the multi-job scheduler maps one rack to one shard), each with
+ * its own event queue, RNG stream and outbox, and advances all shards in
+ * parallel between epoch barriers:
  *
  *   - Lookahead bound. Cross-shard interaction is only possible through
  *     the coordinator, and the minimum cross-shard reaction latency of

@@ -63,7 +63,7 @@ TEST(FaultInjector, SameSeedSameDecisionStream)
         std::vector<bool> out;
         double fraction = 0.0;
         for (std::uint32_t i = 0; i < 200; ++i) {
-            out.push_back(injector.task_crashes(i, 1, &fraction));
+            out.push_back(planned_task_crash(plan, i, &fraction));
             out.push_back(injector.disk_write_fails());
         }
         return out;
@@ -78,26 +78,23 @@ TEST(FaultInjector, DifferentSeedsDiverge)
     FaultPlan b = a;
     b.seed = a.seed + 1;
 
-    FaultInjector ia(a);
-    FaultInjector ib(b);
     double fraction = 0.0;
     bool differed = false;
     for (std::uint32_t i = 0; i < 256 && !differed; ++i)
-        differed = ia.task_crashes(i, 1, &fraction) !=
-                   ib.task_crashes(i, 1, &fraction);
+        differed = planned_task_crash(a, i, &fraction) !=
+                   planned_task_crash(b, i, &fraction);
     EXPECT_TRUE(differed);
 }
 
 TEST(FaultInjector, ResetReplaysTheSameRun)
 {
     FaultPlan plan;
-    plan.task_crash_prob = 0.4;
+    plan.disk_read_error_prob = 0.4;
     FaultInjector injector(plan);
-    double fraction = 0.0;
 
     std::vector<bool> first;
     for (std::uint32_t i = 0; i < 64; ++i)
-        first.push_back(injector.task_crashes(i, 1, &fraction));
+        first.push_back(injector.disk_read_fails());
     const std::size_t logged = injector.log().events().size();
     EXPECT_GT(logged, 0u);
 
@@ -105,7 +102,7 @@ TEST(FaultInjector, ResetReplaysTheSameRun)
     EXPECT_TRUE(injector.log().events().empty());
     std::vector<bool> second;
     for (std::uint32_t i = 0; i < 64; ++i)
-        second.push_back(injector.task_crashes(i, 1, &fraction));
+        second.push_back(injector.disk_read_fails());
     EXPECT_EQ(first, second);
     EXPECT_EQ(injector.log().events().size(), logged);
 }
@@ -114,10 +111,9 @@ TEST(FaultInjector, CrashFractionIsAPartialRun)
 {
     FaultPlan plan;
     plan.task_crash_prob = 1.0;
-    FaultInjector injector(plan);
     for (std::uint32_t i = 0; i < 32; ++i) {
         double fraction = -1.0;
-        ASSERT_TRUE(injector.task_crashes(i, 1, &fraction));
+        ASSERT_TRUE(planned_task_crash(plan, i, &fraction));
         EXPECT_GT(fraction, 0.0);
         EXPECT_LT(fraction, 1.0);  // dies strictly before finishing
     }
@@ -128,24 +124,22 @@ TEST(FaultInjector, SlowNodesAreStatelessAndRespectTheFraction)
     FaultPlan plan;
     plan.slow_node_fraction = 0.5;
     plan.slow_multiplier = 3.0;
-    FaultInjector injector(plan);
 
     std::uint32_t slow = 0;
     for (std::uint32_t node = 0; node < 64; ++node) {
-        const double speed = injector.node_speed_multiplier(node);
+        const double speed = planned_speed_multiplier(plan, node);
         EXPECT_TRUE(speed == 1.0 || speed == 3.0);
         if (speed > 1.0)
             ++slow;
         // Stateless: asking again (any call order) gives the same answer.
-        EXPECT_EQ(speed, injector.node_speed_multiplier(node));
+        EXPECT_EQ(speed, planned_speed_multiplier(plan, node));
     }
     EXPECT_GT(slow, 16u);  // roughly half of 64, generous bounds
     EXPECT_LT(slow, 48u);
 
-    FaultPlan none;
-    FaultInjector clean(none);
+    const FaultPlan none;
     for (std::uint32_t node = 0; node < 8; ++node)
-        EXPECT_EQ(clean.node_speed_multiplier(node), 1.0);
+        EXPECT_EQ(planned_speed_multiplier(none, node), 1.0);
 }
 
 TEST(FaultInjector, ZeroProbabilityNeverFires)
@@ -153,7 +147,8 @@ TEST(FaultInjector, ZeroProbabilityNeverFires)
     FaultInjector injector{FaultPlan{}};
     double fraction = 0.0;
     for (std::uint32_t i = 0; i < 100; ++i) {
-        EXPECT_FALSE(injector.task_crashes(i, 1, &fraction));
+        EXPECT_FALSE(planned_task_crash(FaultPlan{}, i, &fraction));
+        EXPECT_FALSE(planned_task_hang(FaultPlan{}, i));
         EXPECT_FALSE(injector.disk_read_fails());
         EXPECT_FALSE(injector.disk_write_fails());
         EXPECT_FALSE(injector.net_send_times_out());
@@ -186,17 +181,14 @@ TEST(FaultLog, CountsAndSummarizesPerKind)
 TEST(FaultLog, EventsCarryTimestampsFromSetNow)
 {
     FaultPlan plan;
-    plan.task_crash_prob = 1.0;
+    plan.disk_write_error_prob = 1.0;
     FaultInjector injector(plan);
     injector.set_now(42.5);
-    double fraction = 0.0;
-    ASSERT_TRUE(injector.task_crashes(7, 2, &fraction));
+    ASSERT_TRUE(injector.disk_write_fails());
     ASSERT_EQ(injector.log().events().size(), 1u);
     const FaultEvent& e = injector.log().events().front();
-    EXPECT_EQ(e.kind, FaultKind::kTaskCrash);
+    EXPECT_EQ(e.kind, FaultKind::kDiskWriteError);
     EXPECT_DOUBLE_EQ(e.time_s, 42.5);
-    EXPECT_EQ(e.task, 7u);
-    EXPECT_EQ(e.attempt, 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -287,36 +279,29 @@ TEST(FaultPlan, ValidationRejectsBadCorrelatedKnobs)
     EXPECT_NE(validate(plan), "");
 }
 
-TEST(FaultInjector, HangsOnlyConsumeDrawsWhenArmed)
+TEST(FaultPlan, PlannedHangsAreIndependentOfCrashes)
 {
-    // A plan without hangs must keep its exact pre-hang decision
-    // stream: task_hangs() is free when task_hang_prob == 0.
+    // Task fates are stateless hashes of (plan, attempt key): arming
+    // hangs leaves every crash fate as it was, and each fate answers
+    // the same whenever it is asked.
     FaultPlan crashes_only;
     crashes_only.task_crash_prob = 0.3;
+    FaultPlan with_hangs = crashes_only;
+    with_hangs.task_hang_prob = 0.3;
 
-    auto stream = [](const FaultPlan& plan, bool ask_hangs) {
-        FaultInjector injector(plan);
-        std::vector<bool> out;
-        double fraction = 0.0;
-        for (std::uint32_t i = 0; i < 128; ++i) {
-            out.push_back(injector.task_crashes(i, 1, &fraction));
-            if (ask_hangs)
-                injector.task_hangs(i, 1);
-        }
-        return out;
-    };
-    EXPECT_EQ(stream(crashes_only, false), stream(crashes_only, true));
-
-    FaultInjector hangless(crashes_only);
-    for (std::uint32_t i = 0; i < 32; ++i)
-        EXPECT_FALSE(hangless.task_hangs(i, 1));
+    double fraction = 0.0;
+    for (std::uint64_t key = 0; key < 128; ++key) {
+        EXPECT_EQ(planned_task_crash(crashes_only, key, &fraction),
+                  planned_task_crash(with_hangs, key, &fraction));
+        EXPECT_FALSE(planned_task_hang(crashes_only, key));
+        EXPECT_EQ(planned_task_hang(with_hangs, key),
+                  planned_task_hang(with_hangs, key));
+    }
 
     FaultPlan all_hang;
     all_hang.task_hang_prob = 1.0;
-    FaultInjector injector(all_hang);
-    for (std::uint32_t i = 0; i < 8; ++i)
-        EXPECT_TRUE(injector.task_hangs(i, 1));
-    EXPECT_EQ(injector.log().count(FaultKind::kTaskHang), 8u);
+    for (std::uint64_t key = 0; key < 8; ++key)
+        EXPECT_TRUE(planned_task_hang(all_hang, key));
 }
 
 TEST(FaultInjector, CascadesAreStatelessDeterministicAndInRange)

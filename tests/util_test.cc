@@ -13,9 +13,7 @@
 #include "util/atomic_file.h"
 #include "util/csv.h"
 #include "util/fastdiv.h"
-#include "util/histogram.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/string_util.h"
 #include "util/table.h"
 #include "util/zipf.h"
@@ -92,20 +90,27 @@ TEST(Rng, DoubleInUnitInterval)
 TEST(Rng, GaussianMoments)
 {
     Rng rng(13);
-    RunningStat s;
-    for (int i = 0; i < 50'000; ++i)
-        s.add(rng.next_gaussian());
-    EXPECT_NEAR(s.mean(), 0.0, 0.03);
-    EXPECT_NEAR(s.stddev(), 1.0, 0.03);
+    constexpr int kDraws = 50'000;
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (int i = 0; i < kDraws; ++i) {
+        const double x = rng.next_gaussian();
+        sum += x;
+        sum_sq += x * x;
+    }
+    const double mean = sum / kDraws;
+    EXPECT_NEAR(mean, 0.0, 0.03);
+    EXPECT_NEAR(std::sqrt(sum_sq / kDraws - mean * mean), 1.0, 0.03);
 }
 
 TEST(Rng, ExponentialMean)
 {
     Rng rng(17);
-    RunningStat s;
-    for (int i = 0; i < 50'000; ++i)
-        s.add(rng.next_exponential(2.0));
-    EXPECT_NEAR(s.mean(), 0.5, 0.02);
+    constexpr int kDraws = 50'000;
+    double sum = 0.0;
+    for (int i = 0; i < kDraws; ++i)
+        sum += rng.next_exponential(2.0);
+    EXPECT_NEAR(sum / kDraws, 0.5, 0.02);
 }
 
 TEST(Rng, ForkIsIndependent)
@@ -179,94 +184,6 @@ TEST_P(ZipfSkewTest, FrequencyRatioMatchesSkew)
 
 INSTANTIATE_TEST_SUITE_P(Skews, ZipfSkewTest,
                          ::testing::Values(0.5, 0.8, 1.0, 1.2));
-
-TEST(RunningStat, MatchesDirectComputation)
-{
-    RunningStat s;
-    const std::vector<double> xs = {1, 2, 3, 4, 5, 6, 7, 100};
-    for (double x : xs)
-        s.add(x);
-    EXPECT_EQ(s.count(), xs.size());
-    EXPECT_NEAR(s.mean(), 16.0, 1e-12);
-    EXPECT_EQ(s.min(), 1.0);
-    EXPECT_EQ(s.max(), 100.0);
-    double var = 0.0;
-    for (double x : xs)
-        var += (x - 16.0) * (x - 16.0);
-    var /= static_cast<double>(xs.size() - 1);
-    EXPECT_NEAR(s.variance(), var, 1e-9);
-}
-
-TEST(RunningStat, MergeEqualsCombined)
-{
-    Rng rng(31);
-    RunningStat a;
-    RunningStat b;
-    RunningStat all;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.next_gaussian() * 3 + 1;
-        (i % 2 ? a : b).add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-    EXPECT_EQ(a.min(), all.min());
-    EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(Stats, Percentile)
-{
-    std::vector<double> v = {5, 1, 4, 2, 3};
-    EXPECT_NEAR(percentile(v, 0), 1.0, 1e-12);
-    EXPECT_NEAR(percentile(v, 50), 3.0, 1e-12);
-    EXPECT_NEAR(percentile(v, 100), 5.0, 1e-12);
-    EXPECT_NEAR(percentile(v, 25), 2.0, 1e-12);
-    EXPECT_EQ(percentile({}, 50), 0.0);
-}
-
-TEST(Stats, Geomean)
-{
-    EXPECT_NEAR(geomean_of({2.0, 8.0}), 4.0, 1e-12);
-    EXPECT_EQ(geomean_of({}), 0.0);
-}
-
-TEST(Stats, Summary)
-{
-    const Summary s = summarize({1, 2, 3, 4});
-    EXPECT_EQ(s.count, 4u);
-    EXPECT_NEAR(s.mean, 2.5, 1e-12);
-    EXPECT_EQ(s.min, 1.0);
-    EXPECT_EQ(s.max, 4.0);
-}
-
-TEST(Histogram, LinearBuckets)
-{
-    LinearHistogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(5.5);
-    h.add(5.6);
-    h.add(99.0);  // clamps to last bucket
-    h.add(-5.0);  // clamps to first bucket
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(5), 2u);
-    EXPECT_EQ(h.bucket(9), 1u);
-}
-
-TEST(Histogram, Log2Buckets)
-{
-    Log2Histogram h;
-    h.add(0);   // bucket 0
-    h.add(1);   // bucket 1
-    h.add(2);   // bucket 1 (floor(log2(3)))
-    h.add(7);   // bucket 3
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(3), 1u);
-}
 
 TEST(StringUtil, Split)
 {
