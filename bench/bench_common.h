@@ -9,8 +9,8 @@
  *
  * Usage of every figure bench:
  *   ./figNN_xxx [ops-per-workload] [--ops N] [--jobs N]
- *               [--sample[=ratio]] [--sample-window N] [--sample-warm N]
- *               [--sample-discard N] [--sample-warmup N] [--sample-full]
+ *               [--sample[=ratio]] [--sample-window N]
+ *               [--sample-discard N] [--sample-warmup N]
  *               [--obs-interval N] [--obs-out PREFIX]
  *               [--obs-extent-rows N]
  *               [--obs-metrics-out FILE] [--obs-phase[=FILE]]
@@ -20,6 +20,8 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -165,28 +167,83 @@ peak_rss_bytes()
 /** Default per-workload op budget for figure benches. */
 inline constexpr std::uint64_t kDefaultBudget = 2'000'000;
 
-/** Ratio used by a bare `--sample` flag (bridge warming: speed). */
-inline constexpr double kDefaultSampleRatio = 0.02;
+/**
+ * Ratio used by a bare `--sample` flag: the stall-share estimates need
+ * this dense a window coverage far more than they need the (already
+ * modest) extra speed of a sparser one.
+ */
+inline constexpr double kDefaultSampleRatio = 0.15;
+
+/** Reject a command-line token: print why, naming it, and exit 2. */
+[[noreturn]] inline void
+usage_error(const char* why, const char* token)
+{
+    std::fprintf(stderr, "error: %s: %s\n", why, token);
+    std::exit(2);
+}
+
+/** True when `text` is a nonempty run of decimal digits. */
+inline bool
+all_digits(const char* text)
+{
+    if (*text == '\0')
+        return false;
+    for (; *text != '\0'; ++text)
+        if (*text < '0' || *text > '9')
+            return false;
+    return true;
+}
+
+/** `text` as a count for `flag`; exits 2 unless it parses completely. */
+inline std::uint64_t
+parse_count(const char* flag, const char* text)
+{
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, nullptr, 10);
+    if (!all_digits(text) || errno == ERANGE)
+        usage_error("value is not a whole number", flag);
+    return v;
+}
+
+/** `text` as a real number for `flag`; exits 2 unless it parses
+ *  completely to a finite value. */
+inline double
+parse_real(const char* flag, const char* text)
+{
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v))
+        usage_error("value is not a number", flag);
+    return v;
+}
 
 /**
- * Ratio used by a bare `--sample` under `--sample-full`: full warming
- * targets fidelity, and the stall-share estimates need the denser
- * window coverage far more than they need the (already modest) extra
- * speed.
+ * The value of `name N` or `name=N` at argv[i] (advancing i past a
+ * separate value), or nullptr when argv[i] is not that flag or its
+ * separate value is missing.
  */
-inline constexpr double kDefaultFullSampleRatio = 0.15;
+inline const char*
+flag_value(int argc, char** argv, int& i, const char* name)
+{
+    const std::size_t len = std::strlen(name);
+    if (std::strncmp(argv[i], name, len) != 0)
+        return nullptr;
+    if (argv[i][len] == '=')
+        return argv[i] + len + 1;
+    if (argv[i][len] == '\0' && i + 1 < argc)
+        return argv[++i];
+    return nullptr;
+}
 
 /**
  * Parse the shared bench flags:
  *   --ops N            per-workload op budget (also legacy positional N)
  *   --jobs N           suite worker threads (0 = one per hardware thread)
  *   --sample[=ratio]   interval sampling at `ratio` detailed coverage
+ *                      (bare: kDefaultSampleRatio); every gap warms
  *   --sample-window N  detailed-window length in ops
- *   --sample-warm N    functional-warming ops before each window
  *   --sample-discard N per-window pipeline re-pressurization head
  *   --sample-warmup N  lead-in before the first period
- *   --sample-full      full warming: structure metrics near-exact,
- *                      slower (gaps warm instead of skipping)
  *   --obs-interval N   interval telemetry: snapshot every counter every
  *                      N retired ops (perf stat -I analogue); writes
  *                      <prefix><workload>.telemetry.{csv,json}
@@ -205,6 +262,8 @@ inline constexpr double kDefaultFullSampleRatio = 0.15;
  *                      timeline of the whole process into FILE
  *   --manifest FILE    write the run manifest (config echo, seeds,
  *                      build type, host parallelism) to FILE
+ * Any other `--` token, a value that does not parse completely, or a
+ * positional token that is not all digits exits 2 naming it.
  * Workloads are independent simulations, so results do not depend on
  * the jobs count. Prints the resolved budget so every bench states what
  * it actually ran. The manifest is always populated (see manifest());
@@ -216,107 +275,56 @@ config_from_args(int argc, char** argv)
     core::HarnessConfig config = core::bench_config();
     config.run.op_budget = kDefaultBudget;
     bool budget_seen = false;
-    bool default_ratio = false;  // bare --sample: mode-appropriate ratio
     bool obs_out_seen = false;
     ObsSinks& sinks = obs_sinks();
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            config.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            config.jobs = static_cast<unsigned>(
-                std::strtoul(argv[i] + 7, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-            config.run.op_budget = std::strtoull(argv[++i], nullptr, 10);
+        const char* arg = argv[i];
+        const char* v = nullptr;
+        if ((v = flag_value(argc, argv, i, "--jobs"))) {
+            config.jobs = static_cast<unsigned>(parse_count(arg, v));
+        } else if ((v = flag_value(argc, argv, i, "--ops"))) {
+            config.run.op_budget = parse_count(arg, v);
             budget_seen = true;
-        } else if (std::strncmp(argv[i], "--ops=", 6) == 0) {
-            config.run.op_budget =
-                std::strtoull(argv[i] + 6, nullptr, 10);
-            budget_seen = true;
-        } else if (std::strcmp(argv[i], "--sample") == 0) {
-            default_ratio = true;
+        } else if (std::strcmp(arg, "--sample") == 0) {
             config.sampling.ratio = kDefaultSampleRatio;
-        } else if (std::strncmp(argv[i], "--sample=", 9) == 0) {
-            default_ratio = false;
-            config.sampling.ratio = std::strtod(argv[i] + 9, nullptr);
-        } else if (std::strcmp(argv[i], "--sample-window") == 0 &&
-                   i + 1 < argc) {
-            config.sampling.window_ops =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strncmp(argv[i], "--sample-window=", 16) == 0) {
-            config.sampling.window_ops =
-                std::strtoull(argv[i] + 16, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--sample-warm") == 0 &&
-                   i + 1 < argc) {
-            config.sampling.warm_ops =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strncmp(argv[i], "--sample-warm=", 14) == 0) {
-            config.sampling.warm_ops =
-                std::strtoull(argv[i] + 14, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--sample-discard") == 0 &&
-                   i + 1 < argc) {
-            config.sampling.window_discard_ops =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strncmp(argv[i], "--sample-discard=", 17) == 0) {
-            config.sampling.window_discard_ops =
-                std::strtoull(argv[i] + 17, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--sample-full") == 0) {
-            config.sampling.full_warming = true;
-        } else if (std::strcmp(argv[i], "--sample-warmup") == 0 &&
-                   i + 1 < argc) {
-            config.sampling.warmup_ops =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strncmp(argv[i], "--sample-warmup=", 16) == 0) {
-            config.sampling.warmup_ops =
-                std::strtoull(argv[i] + 16, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--obs-interval") == 0 &&
-                   i + 1 < argc) {
-            config.telemetry.interval_ops =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strncmp(argv[i], "--obs-interval=", 15) == 0) {
-            config.telemetry.interval_ops =
-                std::strtoull(argv[i] + 15, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--obs-extent-rows") == 0 &&
-                   i + 1 < argc) {
-            config.telemetry.extent_rows = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strncmp(argv[i], "--obs-extent-rows=", 18) == 0) {
-            config.telemetry.extent_rows = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 18, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--obs-out") == 0 && i + 1 < argc) {
-            config.telemetry.out_path = argv[++i];
+        } else if (std::strncmp(arg, "--sample=", 9) == 0) {
+            config.sampling.ratio = parse_real(arg, arg + 9);
+        } else if ((v = flag_value(argc, argv, i, "--sample-window"))) {
+            config.sampling.window_ops = parse_count(arg, v);
+        } else if ((v = flag_value(argc, argv, i, "--sample-discard"))) {
+            config.sampling.window_discard_ops = parse_count(arg, v);
+        } else if ((v = flag_value(argc, argv, i, "--sample-warmup"))) {
+            config.sampling.warmup_ops = parse_count(arg, v);
+        } else if ((v = flag_value(argc, argv, i, "--obs-interval"))) {
+            config.telemetry.interval_ops = parse_count(arg, v);
+        } else if ((v = flag_value(argc, argv, i, "--obs-extent-rows"))) {
+            config.telemetry.extent_rows =
+                static_cast<std::uint32_t>(parse_count(arg, v));
+        } else if ((v = flag_value(argc, argv, i, "--obs-out"))) {
+            config.telemetry.out_path = v;
             obs_out_seen = true;
-        } else if (std::strncmp(argv[i], "--obs-out=", 10) == 0) {
-            config.telemetry.out_path = argv[i] + 10;
-            obs_out_seen = true;
-        } else if (std::strcmp(argv[i], "--obs-metrics-out") == 0 &&
-                   i + 1 < argc) {
-            sinks.metrics_path = argv[++i];
-        } else if (std::strncmp(argv[i], "--obs-metrics-out=", 18) ==
-                   0) {
-            sinks.metrics_path = argv[i] + 18;
-        } else if (std::strcmp(argv[i], "--obs-phase") == 0) {
+        } else if ((v = flag_value(argc, argv, i, "--obs-metrics-out"))) {
+            sinks.metrics_path = v;
+        } else if (std::strcmp(arg, "--obs-phase") == 0) {
             config.detect_phases = true;
-        } else if (std::strncmp(argv[i], "--obs-phase=", 12) == 0) {
+        } else if (std::strncmp(arg, "--obs-phase=", 12) == 0) {
             config.detect_phases = true;
-            sinks.phase_path = argv[i] + 12;
-        } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
-                   i + 1 < argc) {
-            sinks.trace_path = argv[++i];
-        } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-            sinks.trace_path = argv[i] + 12;
-        } else if (std::strcmp(argv[i], "--manifest") == 0 &&
-                   i + 1 < argc) {
-            sinks.manifest_path = argv[++i];
-        } else if (std::strncmp(argv[i], "--manifest=", 11) == 0) {
-            sinks.manifest_path = argv[i] + 11;
-        } else if (!budget_seen) {
-            config.run.op_budget = std::strtoull(argv[i], nullptr, 10);
+            sinks.phase_path = arg + 12;
+        } else if ((v = flag_value(argc, argv, i, "--trace-out"))) {
+            sinks.trace_path = v;
+        } else if ((v = flag_value(argc, argv, i, "--manifest"))) {
+            sinks.manifest_path = v;
+        } else if (std::strncmp(arg, "--", 2) == 0) {
+            usage_error("unknown flag or missing value", arg);
+        } else if (budget_seen || !all_digits(arg)) {
+            usage_error("unexpected argument (the op budget is one "
+                        "all-digit token)",
+                        arg);
+        } else {
+            config.run.op_budget = parse_count("op budget", arg);
             budget_seen = true;
         }
     }
-    if (default_ratio && config.sampling.full_warming)
-        config.sampling.ratio = kDefaultFullSampleRatio;
     config.run.warmup_ops = config.run.op_budget / 4;
     if (config.telemetry.enabled() && !obs_out_seen)
         config.telemetry.out_path = "obs/";
@@ -358,7 +366,6 @@ config_from_args(int argc, char** argv)
     if (config.sampling.enabled()) {
         m.set("sampling_ratio", config.sampling.ratio);
         m.set("sampling_window_ops", config.sampling.window_ops);
-        m.set("sampling_full_warming", config.sampling.full_warming);
     }
     m.set("obs_interval_ops", config.telemetry.interval_ops);
     if (config.telemetry.enabled()) {
@@ -380,14 +387,9 @@ config_from_args(int argc, char** argv)
     if (config.sampling.enabled()) {
         const sample::IntervalLayout resolved = sample::resolve_layout(
             config.sampling, config.run.op_budget, config.run.warmup_ops);
-        std::printf("; sampling ratio %.3f, window %llu ops, "
-                    "warm %s\n",
+        std::printf("; sampling ratio %.3f, window %llu ops\n",
                     config.sampling.ratio,
-                    static_cast<unsigned long long>(resolved.window_ops),
-                    config.sampling.full_warming
-                        ? "full"
-                        : std::to_string(config.sampling.warm_ops)
-                              .c_str());
+                    static_cast<unsigned long long>(resolved.window_ops));
     }
     else
         std::printf("; exact (no sampling)\n");

@@ -6,7 +6,7 @@
  * every workload, writing the numbers to BENCH_sampling.json.
  *
  * Usage: ./bench_sampling [--ops N] [--sample=ratio] [--sample-window N]
- *                         [--check-speedup X] [--check-rel-err Y]
+ *                         [--check-speedup X] [--check-rel-err Y] [--dump]
  *
  * With --check-speedup / --check-rel-err the process exits nonzero when
  * the sampled run is slower than X times exact or any metric's relative
@@ -54,8 +54,8 @@ rel_err(double sampled, double exact)
 int
 main(int argc, char** argv)
 {
-    // Split off the check flags before the shared parser sees them (it
-    // treats unknown tokens as the legacy positional budget).
+    // Split off this bench's flags before the shared parser sees them
+    // (it rejects flags it does not know).
     double check_speedup = -1.0;
     double check_rel_err = -1.0;
     bool dump = false;
@@ -64,15 +64,12 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--dump") == 0)
             dump = true;
-        else if (std::strcmp(argv[i], "--check-speedup") == 0 && i + 1 < argc)
-            check_speedup = std::strtod(argv[++i], nullptr);
-        else if (std::strncmp(argv[i], "--check-speedup=", 16) == 0)
-            check_speedup = std::strtod(argv[i] + 16, nullptr);
-        else if (std::strcmp(argv[i], "--check-rel-err") == 0 &&
-                 i + 1 < argc)
-            check_rel_err = std::strtod(argv[++i], nullptr);
-        else if (std::strncmp(argv[i], "--check-rel-err=", 16) == 0)
-            check_rel_err = std::strtod(argv[i] + 16, nullptr);
+        else if (const char* v = bench::flag_value(argc, argv, i,
+                                                   "--check-speedup"))
+            check_speedup = bench::parse_real("--check-speedup", v);
+        else if (const char* v = bench::flag_value(argc, argv, i,
+                                                   "--check-rel-err"))
+            check_rel_err = bench::parse_real("--check-rel-err", v);
         else
             pass.push_back(argv[i]);
     }
@@ -80,10 +77,7 @@ main(int argc, char** argv)
     core::HarnessConfig sampled_config = bench::config_from_args(
         static_cast<int>(pass.size()), pass.data());
     if (!sampled_config.sampling.enabled())
-        sampled_config.sampling.ratio =
-            sampled_config.sampling.full_warming
-                ? bench::kDefaultFullSampleRatio
-                : bench::kDefaultSampleRatio;
+        sampled_config.sampling.ratio = bench::kDefaultSampleRatio;
     sampled_config.jobs = 1;  // single-thread: measure substrate speedup
 
     core::HarnessConfig exact_config = sampled_config;
@@ -99,17 +93,14 @@ main(int argc, char** argv)
     bench::manifest().set("sampling_ratio", sampled_config.sampling.ratio);
     bench::manifest().set("sampling_window_ops",
                           static_cast<std::uint64_t>(resolved.window_ops));
-    bench::manifest().set("sampling_full_warming",
-                          sampled_config.sampling.full_warming);
     const std::vector<std::string> names = workloads::figure_order();
     std::printf("sampling accuracy bench: %zu workloads, %llu ops each, "
-                "ratio %.3f, window %llu ops, %s warming\n\n",
+                "ratio %.3f, window %llu ops\n\n",
                 names.size(),
                 static_cast<unsigned long long>(
                     sampled_config.run.op_budget),
                 sampled_config.sampling.ratio,
-                static_cast<unsigned long long>(resolved.window_ops),
-                sampled_config.sampling.full_warming ? "full" : "bridge");
+                static_cast<unsigned long long>(resolved.window_ops));
 
     const auto exact_start = Clock::now();
     const core::SuiteResult exact_suite =
@@ -217,9 +208,6 @@ main(int argc, char** argv)
                      sampled_config.sampling.ratio);
         std::fprintf(f, "  \"sample_window_ops\": %llu,\n",
                      static_cast<unsigned long long>(resolved.window_ops));
-        std::fprintf(f, "  \"full_warming\": %s,\n",
-                     sampled_config.sampling.full_warming ? "true"
-                                                          : "false");
         std::fprintf(f, "  \"exact_seconds\": %.6f,\n", exact_seconds);
         std::fprintf(f, "  \"sampled_seconds\": %.6f,\n", sampled_seconds);
         std::fprintf(f, "  \"suite_speedup\": %.4f,\n", speedup);

@@ -32,17 +32,6 @@ Core::Core(const CoreConfig& core_config,
     cfg_.validate();
     page_shift_ = static_cast<std::uint32_t>(
         std::countr_zero(memory_config.page_bytes));
-    // Fast-forward page walks warm the unified caches; under full
-    // warming they also note the L2/L3 events the timed walker_access()
-    // path would, so full-stream event totals match exact mode.
-    const auto warm_pte = [this](std::uint64_t a) {
-        if (warm_counts_events_)
-            walker_access(a);
-        else
-            hierarchy_.warm_walker_access(a);
-    };
-    itlb_.set_warm_pte_access(warm_pte);
-    dtlb_.set_warm_pte_access(warm_pte);
     inv_fetch_width_ = 1.0 / cfg_.fetch_width;
     inv_dispatch_width_ = 1.0 / cfg_.dispatch_width;
     inv_retire_width_ = 1.0 / cfg_.retire_width;
@@ -383,7 +372,6 @@ Core::set_sample_layout(const sample::IntervalLayout& layout)
 {
     sample_layout_ = layout;
     has_sample_layout_ = layout.sampled;
-    warm_counts_events_ = layout.sampled && layout.full_warming;
 }
 
 const sample::IntervalLayout*
@@ -396,14 +384,12 @@ void
 Core::warm_one(const trace::MicroOp& op)
 {
     using trace::OpClass;
-    // Under full warming the warm path also notes the demand events the
-    // timed path would (misses, walks, branches) -- warming covers the
-    // whole stream, so the full-stream event totals then match exact
-    // mode and the rate metrics are near-exact by construction. Timing
-    // events (cycles, stalls) still come only from the windows.
-    const bool count = warm_counts_events_;
-    if (count)
-        cur_mode_ = op.mode;  // walker_access attributes to cur_mode_
+    // The warm path notes the demand events the timed path would
+    // (misses, walks, branches) -- warming covers the whole stream, so
+    // the full-stream event totals match exact mode and the rate metrics
+    // are near-exact by construction. Timing events (cycles, stalls)
+    // still come only from the windows.
+    cur_mode_ = op.mode;  // walker_access attributes to cur_mode_
     switch (op.cls) {
       case OpClass::kNop: {
         // Line-granular fetch stream: warm the ITLB once per page
@@ -412,11 +398,11 @@ Core::warm_one(const trace::MicroOp& op)
         const std::uint64_t page = op.fetch_addr >> page_shift_;
         if (page != last_warm_fetch_page_) {
             last_warm_fetch_page_ = page;
-            if (itlb_.warm_translate(op.fetch_addr) && count)
+            if (itlb_.warm_translate(op.fetch_addr))
                 note(Event::kITlbWalk, 1.0, op.mode);
         }
         const mem::AccessResult fa = hierarchy_.fetch(op.fetch_addr);
-        if (count && fa.level != mem::HitLevel::kL1) {
+        if (fa.level != mem::HitLevel::kL1) {
             note(Event::kL1IMiss, 1.0, op.mode);
             note_unified_levels(fa.level, op.mode);
         }
@@ -424,11 +410,11 @@ Core::warm_one(const trace::MicroOp& op)
       }
       case OpClass::kLoad:
       case OpClass::kStore: {
-        if (dtlb_.warm_translate(op.addr) && count)
+        if (dtlb_.warm_translate(op.addr))
             note(Event::kDTlbWalk, 1.0, op.mode);
         const mem::AccessResult da = hierarchy_.data_access(op.addr,
                                                             false);
-        if (count && da.level != mem::HitLevel::kL1) {
+        if (da.level != mem::HitLevel::kL1) {
             note(Event::kL1DMiss, 1.0, op.mode);
             note_unified_levels(da.level, op.mode);
         }
@@ -441,11 +427,9 @@ Core::warm_one(const trace::MicroOp& op)
                                                    op.target_key)
                         : branch_.resolve_conditional(op.branch_key,
                                                       op.taken);
-        if (count) {
-            note(Event::kBrRetired, 1.0, op.mode);
-            if (mispredicted)
-                note(Event::kBrMispred, 1.0, op.mode);
-        }
+        note(Event::kBrRetired, 1.0, op.mode);
+        if (mispredicted)
+            note(Event::kBrMispred, 1.0, op.mode);
         break;
       }
       default:
@@ -721,8 +705,8 @@ Core::close_segment_span(double now_us)
 {
     if (cur_segment_ < 0)
         return;
-    static constexpr const char* kSegmentNames[] = {"warmup", "skip",
-                                                    "warm", "window"};
+    static constexpr const char* kSegmentNames[] = {"warmup", "warm",
+                                                    "window"};
     trace_->complete(kSegmentNames[cur_segment_], "sampling",
                      obs::TraceWriter::kHostPid, trace_tid_,
                      segment_start_us_, now_us - segment_start_us_);

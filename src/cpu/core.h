@@ -93,9 +93,10 @@ class Core final : public trace::OpSink
     const sample::IntervalLayout* sample_layout() const override;
 
     /**
-     * Functional warming: update caches/TLBs/predictor state (and their
-     * own hit/miss counters -- the sampled metric source) while skipping
-     * the pipeline model and event accounting entirely.
+     * Functional warming: update caches/TLBs/predictor state and note
+     * the demand events (misses, walks, branches) the timed path would
+     * -- the sampled structure-metric source -- while skipping the
+     * pipeline model and the timing events.
      */
     void consume_warm_batch(const trace::MicroOp* ops, std::size_t n,
                             const trace::WarmSummary& represented) override;
@@ -179,7 +180,7 @@ class Core final : public trace::OpSink
 
     /**
      * Attach a trace writer: sampling-segment transitions
-     * (warmup/skip/warm/window) become host-time spans on lane `tid`.
+     * (warmup/warm/window) become host-time spans on lane `tid`.
      */
     void set_trace(obs::TraceWriter* trace, std::uint64_t tid);
 
@@ -272,8 +273,6 @@ class Core final : public trace::OpSink
     // --- Interval-sampling state (inert in exact mode) ----------------
     sample::IntervalLayout sample_layout_{};
     bool has_sample_layout_ = false;
-    /** Full warming: warm ops note demand events (exact-mode parity). */
-    bool warm_counts_events_ = false;
     bool in_window_ = false;
     bool in_measurement_ = false;  ///< discard head retired, baseline set
     std::vector<WindowSample> windows_;

@@ -65,31 +65,6 @@ class CacheHierarchy
      */
     AccessResult walker_access(std::uint64_t addr);
 
-    // --- Functional warming (interval sampling) -------------------------
-    //
-    // The warm_* entry points take the identical tag/LRU/prefetcher path
-    // as their timed counterparts and *deliberately* advance the
-    // hierarchy's own hit/miss counters: under sampling those counters
-    // over the full warmed stream ARE the MPKI/ratio metric source. What
-    // fast-forwarding skips is the core-side event/PMU accounting and
-    // the latency math built on the returned AccessResult -- which is
-    // simply discarded here.
-
-    /** Warm one instruction line (fast-forward fetch stream). */
-    void warm_fetch_line(std::uint64_t addr) { (void)fetch(addr); }
-
-    /** Warm one data access (fast-forward load/store stream). */
-    void warm_data_access(std::uint64_t addr)
-    {
-        (void)data_access(addr, false);
-    }
-
-    /** Warm one page-walker PTE access (fast-forward TLB walks). */
-    void warm_walker_access(std::uint64_t addr)
-    {
-        (void)walker_access(addr);
-    }
-
     const MemoryConfig& config() const { return config_; }
 
     // --- Counters (monotonic; reset via reset_counters) -----------------

@@ -73,13 +73,8 @@ TwoLevelTlb::warm_translate_miss(std::uint64_t vaddr)
         return false;
     std::array<std::uint64_t, PageTable::kMaxLevels> ptes{};
     page_table_.walk_addresses(vaddr, ptes);
-    if (warm_pte_access_) {
-        for (std::uint32_t level = 0; level < walk_levels_; ++level)
-            warm_pte_access_(ptes[level]);
-    } else {
-        for (std::uint32_t level = 0; level < walk_levels_; ++level)
-            (void)pte_access_(ptes[level]);
-    }
+    for (std::uint32_t level = 0; level < walk_levels_; ++level)
+        (void)pte_access_(ptes[level]);
     ++completed_walks_;
     return true;
 }

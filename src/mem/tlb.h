@@ -86,26 +86,13 @@ class TwoLevelTlb
         return translate_miss(vaddr);
     }
 
-    /** Walker PTE access function used while functionally warming. */
-    using WarmAccessFn = std::function<void(std::uint64_t)>;
-
-    /**
-     * Route warm-mode walker PTE loads here instead of the timed
-     * pte_access (the core wires this to the hierarchy's warm path so
-     * fast-forward walks skip per-access event notes).
-     */
-    void set_warm_pte_access(WarmAccessFn fn)
-    {
-        warm_pte_access_ = std::move(fn);
-    }
-
     /**
      * Functional-warming translate: identical TLB fill/LRU and page-walk
      * behaviour to translate() -- completed_walks_ advances, because
      * under sampling the full-stream walk count IS the Figure 8/11
-     * metric source -- but no latency is computed and PTE loads go
-     * through the warm access function. Returns true when the access
-     * triggered a page walk (full-warming event parity).
+     * metric source -- but the PTE loads' latency is discarded. Returns
+     * true when the access triggered a page walk (event parity with
+     * translate()).
      */
     bool warm_translate(std::uint64_t vaddr)
     {
@@ -129,7 +116,6 @@ class TwoLevelTlb
     Tlb& shared_l2_;
     PageTable& page_table_;
     MemAccessFn pte_access_;
-    WarmAccessFn warm_pte_access_;
     std::uint32_t page_bytes_;
     std::uint32_t walk_base_latency_;
     std::uint32_t walk_levels_;

@@ -16,7 +16,11 @@ SamplingController::SamplingController(const SamplePlan& plan,
 
 namespace {
 
-/** Per-window values of every ReportMetric (estimator input). */
+/**
+ * Per-window values of the timing metrics (estimator input). The other
+ * ReportMetrics come from full-stream totals and stay 0 here, so their
+ * standard error is 0 too.
+ */
 std::array<double, cpu::kReportMetricCount>
 window_metrics(const cpu::WindowSample& w)
 {
@@ -33,8 +37,6 @@ window_metrics(const cpu::WindowSample& w)
     const double instr = get(Event::kInstRetired);
     const double cycles = get(Event::kCycles);
     set(ReportMetric::kIpc, cycles > 0.0 ? instr / cycles : 0.0);
-    set(ReportMetric::kKernelFraction,
-        instr > 0.0 ? w.kernel_instructions / instr : 0.0);
     const cpu::StallBreakdown stalls = cpu::normalize_stalls(
         get(Event::kFetchStallCycles), get(Event::kRatStallCycles),
         get(Event::kLoadBufStallCycles), get(Event::kStoreBufStallCycles),
@@ -45,21 +47,6 @@ window_metrics(const cpu::WindowSample& w)
     set(ReportMetric::kStallStore, stalls.store);
     set(ReportMetric::kStallRs, stalls.rs);
     set(ReportMetric::kStallRob, stalls.rob);
-    const double kilo_instr = instr / 1000.0;
-    if (kilo_instr > 0.0) {
-        set(ReportMetric::kL1iMpki, get(Event::kL1IMiss) / kilo_instr);
-        set(ReportMetric::kItlbWalkPki, get(Event::kITlbWalk) / kilo_instr);
-        set(ReportMetric::kL2Mpki, get(Event::kL2Miss) / kilo_instr);
-        set(ReportMetric::kDtlbWalkPki, get(Event::kDTlbWalk) / kilo_instr);
-    }
-    const double l2_miss = get(Event::kL2Miss);
-    if (l2_miss > 0.0)
-        set(ReportMetric::kL3ServiceRatio,
-            (l2_miss - get(Event::kL3Miss)) / l2_miss);
-    const double branches = get(Event::kBrRetired);
-    if (branches > 0.0)
-        set(ReportMetric::kBranchMispredictionRatio,
-            get(Event::kBrMispred) / branches);
     return m;
 }
 
@@ -71,18 +58,17 @@ SamplingController::make_report(const std::string& workload,
 {
     DCB_EXPECTS(layout_.sampled);
     using cpu::Event;
-    using cpu::ReportMetric;
 
     cpu::CounterReport r;
     r.workload = workload;
     r.sampled = true;
     r.sample_windows = core.sample_windows().size();
 
-    // Point estimates are ratios of event totals summed over every
-    // detailed window -- the exact-mode formulas applied to the covered
-    // ops. Windows are equal-instruction, so a plain mean of per-window
-    // *ratios* would weight a 400-cycle window as heavily as a
-    // 4000-cycle one and bias every per-cycle metric (IPC, stall
+    // The timing point estimates are ratios of event totals summed over
+    // every detailed window -- the exact-mode formulas applied to the
+    // covered ops. Windows are equal-instruction, so a plain mean of
+    // per-window *ratios* would weight a 400-cycle window as heavily as
+    // a 4000-cycle one and bias every per-cycle metric (IPC, stall
     // shares) on phase-heterogeneous streams; summing first weights
     // each cycle once, the way the whole-run counters do. The
     // IntervalEstimator still sees the per-window metric values: its
@@ -109,28 +95,13 @@ SamplingController::make_report(const std::string& workload,
             total(Event::kStoreBufStallCycles),
             total(Event::kRsFullStallCycles),
             total(Event::kRobFullStallCycles));
-        const double kilo_instr = instr / 1000.0;
-        if (kilo_instr > 0.0) {
-            r.l1i_mpki = total(Event::kL1IMiss) / kilo_instr;
-            r.itlb_walk_pki = total(Event::kITlbWalk) / kilo_instr;
-            r.l2_mpki = total(Event::kL2Miss) / kilo_instr;
-            r.dtlb_walk_pki = total(Event::kDTlbWalk) / kilo_instr;
-        }
-        const double l2_miss = total(Event::kL2Miss);
-        if (l2_miss > 0.0)
-            r.l3_service_ratio =
-                (l2_miss - total(Event::kL3Miss)) / l2_miss;
-        const double branches = total(Event::kBrRetired);
-        if (branches > 0.0)
-            r.branch_misprediction_ratio =
-                total(Event::kBrMispred) / branches;
         for (std::size_t i = 0; i < cpu::kReportMetricCount; ++i)
             r.metric_stderr[i] = estimator.standard_error(i);
     }
 
     // Totals: the producer accounts every represented op whether it was
-    // skipped, warmed or simulated, so the instruction totals -- and
-    // with them the kernel-mode fraction -- are exact by construction.
+    // warmed or simulated, so the instruction totals -- and with them
+    // the kernel-mode fraction -- are exact by construction.
     const cpu::CoreStats& stats = core.stats();
     const double total_instr =
         stats.get(Event::kInstRetired) +
@@ -143,44 +114,28 @@ SamplingController::make_report(const std::string& workload,
         static_cast<double>(core.warm_kernel_ops());
     r.kernel_instr_fraction =
         total_instr > 0.0 ? kernel_instr / total_instr : 0.0;
-    r.metric_stderr[static_cast<std::size_t>(
-        ReportMetric::kKernelFraction)] = 0.0;
 
-    // Under full warming the warm path notes the same demand events
-    // (misses, walks, branches) the timed path does, so the event
-    // totals cover the *entire* post-reset stream and the rate metrics
-    // follow the exact-mode formulas over the exact-mode coverage --
-    // near-exact by construction rather than window-extrapolated. Only
-    // the timing metrics (IPC, stall shares) still come from the
-    // windows. Rare events (e.g. ITLB walks at ~0.5 per kilo-op) make
+    // The warm path notes the same demand events (misses, walks,
+    // branches) the timed path does, so the event totals cover the
+    // *entire* post-reset stream and the rate metrics follow the
+    // exact-mode formulas over the exact-mode coverage -- near-exact by
+    // construction rather than window-extrapolated, with no sampling
+    // error bar. Rare events (e.g. ITLB walks at ~0.5 per kilo-op) make
     // this the only way to bound their error at small window budgets.
-    if (layout_.full_warming && total_instr > 0.0) {
+    if (total_instr > 0.0) {
         const double kilo_instr = total_instr / 1000.0;
-        auto exact_metric = [&r](ReportMetric m, double v) {
-            r.metric_stderr[static_cast<std::size_t>(m)] = 0.0;
-            return v;
-        };
-        r.l1i_mpki = exact_metric(ReportMetric::kL1iMpki,
-                                  stats.get(Event::kL1IMiss) / kilo_instr);
-        r.itlb_walk_pki =
-            exact_metric(ReportMetric::kItlbWalkPki,
-                         stats.get(Event::kITlbWalk) / kilo_instr);
-        r.l2_mpki = exact_metric(ReportMetric::kL2Mpki,
-                                 stats.get(Event::kL2Miss) / kilo_instr);
-        const double l2_miss = stats.get(Event::kL2Miss);
-        if (l2_miss > 0.0)
-            r.l3_service_ratio = exact_metric(
-                ReportMetric::kL3ServiceRatio,
-                (l2_miss - stats.get(Event::kL3Miss)) / l2_miss);
-        r.dtlb_walk_pki =
-            exact_metric(ReportMetric::kDtlbWalkPki,
-                         stats.get(Event::kDTlbWalk) / kilo_instr);
-        const double branches = stats.get(Event::kBrRetired);
-        if (branches > 0.0)
-            r.branch_misprediction_ratio = exact_metric(
-                ReportMetric::kBranchMispredictionRatio,
-                stats.get(Event::kBrMispred) / branches);
+        r.l1i_mpki = stats.get(Event::kL1IMiss) / kilo_instr;
+        r.itlb_walk_pki = stats.get(Event::kITlbWalk) / kilo_instr;
+        r.l2_mpki = stats.get(Event::kL2Miss) / kilo_instr;
+        r.dtlb_walk_pki = stats.get(Event::kDTlbWalk) / kilo_instr;
     }
+    const double l2_miss = stats.get(Event::kL2Miss);
+    if (l2_miss > 0.0)
+        r.l3_service_ratio = (l2_miss - stats.get(Event::kL3Miss)) / l2_miss;
+    const double branches = stats.get(Event::kBrRetired);
+    if (branches > 0.0)
+        r.branch_misprediction_ratio =
+            stats.get(Event::kBrMispred) / branches;
     return r;
 }
 

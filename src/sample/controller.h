@@ -9,18 +9,17 @@
  * IntervalLayout (handed to the core, which forwards it to the ExecCtx),
  * and afterwards assembles the extrapolated CounterReport:
  *
- *  - Every figure metric (IPC, stall shares, MPKI/PKI rates, hit
- *    ratios) is measured inside the detailed windows -- each preceded
- *    by its functional-warming segment -- and extrapolated to the whole
- *    run as the across-window mean, with a per-metric standard error
- *    via IntervalEstimator.
+ *  - The timing metrics (IPC, stall shares) are measured inside the
+ *    detailed windows and extrapolated to the whole run as ratios of
+ *    window event totals, with a per-metric standard error via
+ *    IntervalEstimator.
+ *  - The structure-rate metrics (MPKI/PKI, hit and misprediction
+ *    ratios) come from the full-stream counters, which the warm paths
+ *    share with the timed paths: near-exact by construction, so their
+ *    standard error is 0.
  *  - The kernel-instruction fraction and total instruction count come
  *    from the producer-side op accounting, which covers the full
  *    stream and is therefore exact by construction.
- *  - Under full warming (SamplePlan::full_warming) the structure-rate
- *    metrics (MPKI/PKI, hit and misprediction ratios) switch to the
- *    full-stream structure counters, which the warm paths share with
- *    the timed paths -- near-exact, at the cost of warming every gap.
  */
 
 #include <string>

@@ -7,21 +7,24 @@
  * alternating fast-forward (functional warming) and detailed
  * (full-model) segments.
  *
- * The scheme follows the SMARTS tradition the ROADMAP points at and the
- * subsetting insight of Jia et al. (arXiv:1409.0792): each detailed
- * measurement window is preceded by a bounded functional-warming
- * segment that re-establishes the long-lived microarchitectural state
- * (cache tags, TLBs, branch predictor tables, page table); the rest of
- * the stream fast-forwards at accounting speed. The expensive timing
- * model (stall attribution, ROB/RS/LSQ occupancy, PMU accounting) only
- * runs inside the windows, and suite-level counters are extrapolated
- * from the window measurements with a per-metric standard error.
+ * The scheme follows the SMARTS tradition and the subsetting insight
+ * of Jia et al. (arXiv:1409.0792): every op between two detailed
+ * measurement windows goes through functional warming, which keeps the
+ * long-lived microarchitectural state (cache tags, TLBs, branch
+ * predictor tables, page table) as current as an exact run's. The
+ * expensive timing model (stall attribution, ROB/RS/LSQ occupancy, PMU
+ * accounting) only runs inside the windows, and the timing metrics are
+ * extrapolated from the window measurements with a per-metric standard
+ * error.
  *
- * This header is dependency-free so every layer (trace producer, cpu
- * sink, harness) can share the plan types without link-time coupling.
+ * Everything here is inline (util/assert.h is too), so every layer
+ * (trace producer, cpu sink, harness) can share the plan types without
+ * link-time coupling.
  */
 
 #include <cstdint>
+
+#include "util/assert.h"
 
 namespace dcb::sample {
 
@@ -34,54 +37,40 @@ struct SamplePlan
      */
     double ratio = 0.0;
 
-    /** Sentinel: resolve_layout() picks a mode-appropriate value. */
+    /** Sentinel: resolve_layout() derives the value from the window. */
     static constexpr std::uint64_t kAuto = ~std::uint64_t{0};
 
     /**
-     * Ops per detailed measurement window. kAuto resolves to 1000
-     * under bridge warming and 2000 under full warming: stall shares
-     * of slow-rebuilding structures (the store buffer above all) need
-     * the longer window before they re-materialize.
+     * Ops per detailed measurement window. Stall shares of
+     * slow-rebuilding structures (the store buffer above all) need a
+     * window this long before they re-materialize.
      */
-    std::uint64_t window_ops = kAuto;
-
-    /**
-     * Functional-warming ops immediately before each window: enough
-     * stream to refresh the caches, TLBs and predictor after the
-     * fast-forward gap. Clamped to the available gap; 0 disables
-     * pre-window warming (cold windows, cheapest and least accurate).
-     * Ignored under full_warming (the whole gap warms).
-     */
-    std::uint64_t warm_ops = 6'000;
+    std::uint64_t window_ops = 2'000;
 
     /**
      * Detailed ops at the head of each window excluded from
      * measurement: they re-pressurize the pipeline (ROB/RS/buffer
      * occupancy rings, port cursors) after the fast-forward, so the
      * measured tail sees steady-state timing. Clamped to half the
-     * window. kAuto resolves to a quarter of the window under bridge
-     * warming and half under full warming.
+     * window; kAuto resolves to half the window.
      */
     std::uint64_t window_discard_ops = kAuto;
 
     /**
-     * Warming fidelity. false (bridge warming, the default): gaps
-     * fast-forward at accounting speed and only the warm_ops lead-in
-     * of each window touches the structures; every metric is
-     * extrapolated from the windows. true (full warming): the entire
-     * fast-forward stream warms the structures, so cache/TLB/branch
-     * counters cover the full run and the structure metrics are
-     * near-exact by construction -- slower, but tightly bounded error.
-     */
-    bool full_warming = false;
-
-    /**
      * Lead-in before the first period, mirroring the exact-mode
      * ramp-up discard so sampled and exact runs measure the same span
-     * of the stream. 0 means "use the run's warmup_ops". Bridge mode
-     * skips through it; full warming warms through it.
+     * of the stream. 0 means "use the run's warmup_ops". The lead-in
+     * warms like every gap.
      */
     std::uint64_t warmup_ops = 0;
+
+    /**
+     * Always true: every fast-forward op warms the structures (full
+     * warming), the only sampled mode. The member remains because
+     * existing callers still assign it; resolve_layout() rejects false
+     * as a configuration error rather than running some other mode.
+     */
+    bool full_warming = true;
 
     bool enabled() const { return ratio > 0.0 && window_ops > 0; }
 };
@@ -92,37 +81,30 @@ struct SamplePlan
  *
  * Stream layout (op counts):
  *
- *   [ warmup ][ skip | warm | window ][ skip | warm | window ] ...
- *     warming   fast   warming  full
+ *   [ warmup ][ warm | window ][ warm | window ] ...
+ *     warming   warming  full
  *
- * with skip = period_ops - warm_ops - window_ops. The cycle repeats
+ * with warm = gap_ops() = period_ops - window_ops. The cycle repeats
  * until the stream actually ends: workloads stop at phase granularity
  * and can overshoot the nominal budget, and exact mode measures that
  * overshoot too, so `windows` is the nominal count for a stream that
  * stops exactly at its budget, not a cap. The executor jitters each
  * period's gap length (mean-preserving) so periodic workload phases
- * cannot alias with the schedule. "Skip" segments fast-forward at pure
- * accounting speed; "warm" segments replay the stream through the
- * warm-only structure paths; "window" segments run the full timing
- * model. Under full warming, skip is zero and the whole gap warms.
+ * cannot alias with the schedule. "Warm" segments replay the stream
+ * through the warm-only structure paths; "window" segments run the
+ * full timing model.
  */
 struct IntervalLayout
 {
     bool sampled = false;  ///< false: run exact (no schedule)
-    bool full_warming = false;
     std::uint64_t warmup_ops = 0;
     std::uint64_t windows = 0;
     std::uint64_t window_ops = 0;
     std::uint64_t window_discard_ops = 0;
-    std::uint64_t warm_ops = 0;    ///< warming ops before each window
-    std::uint64_t period_ops = 0;  ///< skip + warm + window
+    std::uint64_t period_ops = 0;  ///< warm gap + window
 
     std::uint64_t detailed_ops() const { return windows * window_ops; }
     std::uint64_t gap_ops() const { return period_ops - window_ops; }
-    std::uint64_t skip_ops() const
-    {
-        return period_ops - warm_ops - window_ops;
-    }
 };
 
 /**
@@ -135,6 +117,9 @@ inline IntervalLayout
 resolve_layout(const SamplePlan& plan, std::uint64_t op_budget,
                std::uint64_t default_warmup_ops = 0)
 {
+    DCB_CONFIG_CHECK(plan.full_warming,
+                     "SamplePlan::full_warming = false: full warming is "
+                     "the only sampling mode");
     IntervalLayout layout;
     if (!plan.enabled() || op_budget == 0)
         return layout;
@@ -143,10 +128,7 @@ resolve_layout(const SamplePlan& plan, std::uint64_t op_budget,
     if (warmup >= op_budget)
         return layout;
     const std::uint64_t usable = op_budget - warmup;
-    const std::uint64_t window_ops =
-        plan.window_ops != SamplePlan::kAuto
-            ? plan.window_ops
-            : (plan.full_warming ? 2'000 : 1'000);
+    const std::uint64_t window_ops = plan.window_ops;
     if (window_ops > usable)
         return layout;  // window > budget: fall back to exact mode
     const double ratio = plan.ratio < 1.0 ? plan.ratio : 1.0;
@@ -160,21 +142,16 @@ resolve_layout(const SamplePlan& plan, std::uint64_t op_budget,
     if (windows > max_windows)
         windows = max_windows;  // >= 1: window_ops <= usable
     layout.sampled = true;
-    layout.full_warming = plan.full_warming;
     layout.warmup_ops = warmup;
     layout.windows = windows;
     layout.window_ops = window_ops;
     const std::uint64_t discard =
         plan.window_discard_ops != SamplePlan::kAuto
             ? plan.window_discard_ops
-            : (plan.full_warming ? window_ops / 2 : window_ops / 4);
+            : window_ops / 2;
     layout.window_discard_ops =
         discard < window_ops / 2 ? discard : window_ops / 2;
     layout.period_ops = usable / windows;  // >= window_ops
-    layout.warm_ops = plan.full_warming ? layout.gap_ops()
-                      : plan.warm_ops < layout.gap_ops()
-                          ? plan.warm_ops
-                          : layout.gap_ops();
     return layout;
 }
 

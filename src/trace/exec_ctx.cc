@@ -42,10 +42,9 @@ ExecCtx::active_layout()
 void
 ExecCtx::flush()
 {
-    if (sampling_ && ff_) {
-        if (warm_)
-            ff_sync_layout();
-        flush_warm();  // represented-op counts flush from skips too
+    if (sampling_ && ff()) {
+        ff_sync_layout();
+        flush_warm();
     }
     if (batch_size_ == 0)
         return;
@@ -219,14 +218,11 @@ ExecCtx::call(std::uint64_t key)
 // While sampling, every public entry point routes to a sampled_*()
 // sibling. Inside a detailed window the sibling assembles exactly the op
 // the exact path would (same class, dependency and address rules) and
-// feeds it through emit(). Fast-forward comes in two flavours. A *skip*
-// segment only accounts the op (counts, segment position) -- the code
-// layout freezes and no state is touched, so it runs at memory speed. A
-// *warm* segment additionally performs functional warming: data
-// addresses and branch outcomes are buffered as warm ops, and the
+// feeds it through emit(). Fast-forward performs functional warming:
+// data addresses and branch outcomes are buffered as warm ops, and the
 // instruction-fetch stream is replayed lazily in line-granular form via
 // CodeLayout::advance(). The schedule itself -- a warmup lead-in, then
-// a [skip|warm|window] cycle repeating until the stream ends, with each
+// a [warm|window] cycle repeating until the stream ends, with each
 // period's gap length jittered to break phase aliasing -- lives in
 // next_segment().
 
@@ -236,20 +232,12 @@ ExecCtx::start_sampling(const sample::IntervalLayout& layout)
     if (!layout.sampled)
         return;
     DCB_EXPECTS(layout.windows > 0 && layout.window_ops > 0);
-    DCB_EXPECTS(layout.period_ops >=
-                layout.window_ops + layout.warm_ops);
+    DCB_EXPECTS(layout.period_ops >= layout.window_ops);
     sampling_ = true;
-    ff_ = true;
-    // Full warming warms through the lead-in (structures cover the whole
-    // stream); bridge mode skips it and relies on each window's warm
-    // segment, like every later gap.
-    warm_ = layout.full_warming;
-    full_warming_ = layout.full_warming;
-    skip_ops_ = layout.skip_ops();
-    warm_ops_ = layout.warm_ops;
+    gap_ops_ = layout.gap_ops();
     window_ops_ = layout.window_ops;
     window_discard_ops_ = layout.window_discard_ops;
-    phase_ = SamplePhase::kWarmup;
+    segment_ = SampleSegment::kWarmup;
     seg_left_ = layout.warmup_ops;
     if (seg_left_ == 0)
         next_segment();
@@ -257,70 +245,46 @@ ExecCtx::start_sampling(const sample::IntervalLayout& layout)
         sink_.begin_sample_segment(SampleSegment::kWarmup);
 }
 
-SampleSegment
-ExecCtx::segment_of(SamplePhase phase)
-{
-    switch (phase) {
-      case SamplePhase::kWarmup: return SampleSegment::kWarmup;
-      case SamplePhase::kSkip: return SampleSegment::kSkip;
-      case SamplePhase::kWarm: return SampleSegment::kWarm;
-      case SamplePhase::kWindow: break;
-    }
-    return SampleSegment::kWindow;
-}
-
 void
 ExecCtx::next_segment()
 {
-    // Loop: a zero-length segment (e.g. skip_ops_ == 0 when warming
-    // covers the whole gap) falls straight through to the next phase.
+    // Loop: a zero-length segment (a warm gap jittered to 0 when the
+    // period equals the window) falls straight through to the next phase.
     for (;;) {
-        switch (phase_) {
-          case SamplePhase::kWarmup:
+        switch (segment_) {
+          case SampleSegment::kWarmup:
             ff_sync_layout();
             flush_warm();
             sink_.sampling_warmup_done();
-            phase_ = SamplePhase::kSkip;
-            seg_left_ = jittered(skip_ops_);
-            warm_ = false;
+            segment_ = SampleSegment::kWarm;
+            seg_left_ = jittered(gap_ops_);
             break;
-          case SamplePhase::kSkip:
-            phase_ = SamplePhase::kWarm;
-            // Under full warming the whole gap is one warm segment, so
-            // the period jitter lands here instead of on the (empty)
-            // skip segment.
-            seg_left_ = full_warming_ ? jittered(warm_ops_) : warm_ops_;
-            warm_ = true;
-            break;
-          case SamplePhase::kWarm:
+          case SampleSegment::kWarm:
             ff_sync_layout();
             flush_warm();
-            phase_ = SamplePhase::kWindow;
+            segment_ = SampleSegment::kWindow;
             seg_left_ = window_ops_;
-            ff_ = false;
-            warm_ = false;
             win_discard_left_ = window_discard_ops_;
             sink_.begin_sample_window();
             if (win_discard_left_ == 0)
                 sink_.begin_window_measurement();
             break;
-          case SamplePhase::kWindow:
+          case SampleSegment::kWindow:
             flush();  // the sink must see the full window before the cut
             sink_.end_sample_window();
-            ff_ = true;
             // The schedule is periodic until the stream actually ends:
             // workloads stop at phase granularity and may overshoot the
             // nominal budget substantially, and exact mode measures that
             // overshoot too. A terminal fast-forward tail would make the
             // two modes measure different spans of the stream.
-            phase_ = SamplePhase::kSkip;
-            seg_left_ = jittered(skip_ops_);
+            segment_ = SampleSegment::kWarm;
+            seg_left_ = jittered(gap_ops_);
             break;
         }
         if (seg_left_ != 0) {
             // Announce only the segment that actually runs; zero-length
             // segments resolved by the loop never surface.
-            sink_.begin_sample_segment(segment_of(phase_));
+            sink_.begin_sample_segment(segment_);
             return;
         }
     }
@@ -388,7 +352,7 @@ ExecCtx::sampled_set_mode(Mode mode)
 {
     if (mode == mode_)
         return;
-    if (ff_ && warm_)
+    if (ff())
         ff_sync_layout();  // drain the backlog under the old layout
     mode_ = mode;
 }
@@ -397,7 +361,7 @@ void
 ExecCtx::sampled_mem(OpClass cls, std::uint64_t addr,
                      std::uint8_t dep_dist, bool chase)
 {
-    if (!ff_) {
+    if (!ff()) {
         MicroOp op;
         op.cls = cls;
         op.addr = addr;
@@ -423,18 +387,14 @@ ExecCtx::sampled_mem(OpClass cls, std::uint64_t addr,
         ops_since_last_load_ = 1;
     else
         ++ops_since_last_load_;
-    if (warm_) {
-        ff_account(1);
-        // Every data access is delivered: the stride prefetcher observes
-        // L1D hits too, so eliding repeats would skew its stream.
-        MicroOp op;
-        op.cls = cls;
-        op.mode = mode_;
-        op.addr = addr;
-        ff_append_warm(op);
-    } else {
-        skip_account(1);
-    }
+    ff_account(1);
+    // Every data access is delivered: the stride prefetcher observes L1D
+    // hits too, so eliding repeats would skew its stream.
+    MicroOp op;
+    op.cls = cls;
+    op.mode = mode_;
+    op.addr = addr;
+    ff_append_warm(op);
     if (seg_left_ == 0)
         next_segment();
 }
@@ -444,17 +404,13 @@ ExecCtx::sampled_compute(OpClass cls, std::uint32_t n, bool serial,
                          std::uint8_t dep_dist)
 {
     while (n > 0) {
-        if (ff_) {
+        if (ff()) {
             // Compute ops carry no long-lived state: account a whole
-            // run at once; in a warm segment the lazy layout sync warms
-            // the fetch lines.
+            // run at once; the lazy layout sync warms the fetch lines.
             std::uint64_t take = n;
             if (take > seg_left_)
                 take = seg_left_;
-            if (warm_)
-                ff_account(take);
-            else
-                skip_account(take);
+            ff_account(take);
             ops_since_last_load_ += take;
             n -= static_cast<std::uint32_t>(take);
             if (seg_left_ == 0)
@@ -479,7 +435,7 @@ ExecCtx::sampled_branch(std::uint64_t key, bool taken, bool indirect,
                         std::uint64_t target_key, std::uint8_t dep_dist,
                         bool transfer)
 {
-    if (!ff_) {
+    if (!ff()) {
         MicroOp op;
         op.cls = OpClass::kBranch;
         op.branch_key = key;
@@ -494,25 +450,20 @@ ExecCtx::sampled_branch(std::uint64_t key, bool taken, bool indirect,
         return;
     }
     ++ops_since_last_load_;
-    if (warm_) {
-        ff_account(1);
-        MicroOp op;
-        op.cls = OpClass::kBranch;
-        op.mode = mode_;
-        op.branch_key = key;
-        op.taken = taken;
-        op.indirect = indirect;
-        op.target_key = target_key;
-        ff_append_warm(op);
-        if (transfer) {
-            // The transfer redirects the fetch stream *after* this
-            // branch: replay the backlog (which includes it) first.
-            ff_sync_layout();
-            active_layout().force_transfer();
-        }
-    } else {
-        // Skip segment: the layout is frozen, so the transfer is moot.
-        skip_account(1);
+    ff_account(1);
+    MicroOp op;
+    op.cls = OpClass::kBranch;
+    op.mode = mode_;
+    op.branch_key = key;
+    op.taken = taken;
+    op.indirect = indirect;
+    op.target_key = target_key;
+    ff_append_warm(op);
+    if (transfer) {
+        // The transfer redirects the fetch stream *after* this branch:
+        // replay the backlog (which includes it) first.
+        ff_sync_layout();
+        active_layout().force_transfer();
     }
     if (seg_left_ == 0)
         next_segment();

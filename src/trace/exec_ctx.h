@@ -48,7 +48,7 @@ struct ExecCounts
     std::uint64_t total() const { return user_ops + kernel_ops; }
 };
 
-/** Instrumented execution context: the bridge from algorithm to core. */
+/** Instrumented execution context: the link from algorithm to core. */
 class ExecCtx
 {
   public:
@@ -128,7 +128,7 @@ class ExecCtx
     bool sampling() const { return sampling_; }
 
     /** True while fast-forwarding (functional warming, no timing). */
-    bool fast_forwarding() const { return sampling_ && ff_; }
+    bool fast_forwarding() const { return sampling_ && ff(); }
 
     // --- Batch delivery --------------------------------------------------
 
@@ -156,15 +156,6 @@ class ExecCtx
     /** Pending-insn backlog that triggers a lazy layout sync. */
     static constexpr std::uint64_t kWarmSyncInsns = 256;
 
-    enum class SamplePhase : std::uint8_t {
-        kWarmup,  ///< lead-in (ends in a counter reset)
-        kSkip,    ///< fast-forward at accounting speed (no warming)
-        kWarm,    ///< pre-window functional-warming segment
-        kWindow,  ///< detailed measurement window
-    };
-    // The [skip|warm|window] cycle repeats until the stream ends (the
-    // stream, not the layout, decides the actual window count).
-
     void emit(MicroOp& op);
     CodeLayout& active_layout();
 
@@ -178,20 +169,10 @@ class ExecCtx
                         std::uint64_t target_key, std::uint8_t dep_dist,
                         bool transfer);
     void sampled_set_mode(Mode mode);
+    /** Every segment but a detailed window fast-forwards (warms). */
+    bool ff() const { return segment_ != SampleSegment::kWindow; }
     /** Account `n` warming ops (counts, layout backlog, segment). */
     void ff_account(std::uint64_t n);
-    /** Account `n` skipped ops (counts and segment only). */
-    void skip_account(std::uint64_t n)
-    {
-        if (mode_ == Mode::kUser) {
-            counts_.user_ops += n;
-            warm_user_pending_ += n;
-        } else {
-            counts_.kernel_ops += n;
-            warm_kernel_pending_ += n;
-        }
-        seg_left_ -= n;
-    }
     /** Append one warm op, flushing the warm batch when full. */
     void ff_append_warm(const MicroOp& op);
     /** Advance the layout over the pending-insn backlog (line warms). */
@@ -200,8 +181,6 @@ class ExecCtx
     void flush_warm();
     /** Advance the schedule when the current segment is exhausted. */
     void next_segment();
-    /** Observational segment label for a schedule phase. */
-    static SampleSegment segment_of(SamplePhase phase);
     /** Detailed-window bookkeeping after one emitted op. */
     void window_step()
     {
@@ -237,13 +216,12 @@ class ExecCtx
 
     // --- Interval-sampling state (inert in exact mode) ----------------
     bool sampling_ = false;
-    bool ff_ = false;    ///< current segment is fast-forward
-    bool warm_ = false;  ///< current ff segment delivers warm ops
-    bool full_warming_ = false;
-    SamplePhase phase_ = SamplePhase::kWarmup;
+    /** Current schedule segment; the warmup lead-in ends in a counter
+        reset, then [warm|window] repeats until the stream ends (the
+        stream, not the layout, decides the actual window count). */
+    SampleSegment segment_ = SampleSegment::kWarmup;
     std::uint64_t seg_left_ = 0;  ///< ops left in the current segment
-    std::uint64_t skip_ops_ = 0;
-    std::uint64_t warm_ops_ = 0;
+    std::uint64_t gap_ops_ = 0;   ///< mean warm gap between windows
     std::uint64_t window_ops_ = 0;
     std::uint64_t window_discard_ops_ = 0;
     std::uint64_t win_discard_left_ = 0;  ///< discard ops still to retire

@@ -68,13 +68,12 @@ struct WarmSummary
 
 /**
  * Phase of the interval-sampling schedule a delivered op belongs to.
- * Purely observational taxonomy (telemetry spans); the schedule itself
- * lives in trace::ExecCtx.
+ * trace::ExecCtx runs its schedule on these values; sinks see them only
+ * as observational labels (telemetry spans).
  */
 enum class SampleSegment : std::uint8_t {
     kWarmup,  ///< functional-warming lead-in
-    kSkip,    ///< fast-forward without warming
-    kWarm,    ///< pre-window functional warming
+    kWarm,    ///< functional warming between windows
     kWindow,  ///< detailed measurement window
 };
 
@@ -104,8 +103,9 @@ class OpSink
 
     /**
      * Warming-only delivery mode: `n` ops that should update long-lived
-     * state (cache tags, TLBs, branch predictor tables) but skip the
-     * timing model and event accounting. kNop ops carry an
+     * state (cache tags, TLBs, branch predictor tables) and note their
+     * demand events (misses, walks, branches), but skip the timing
+     * model. kNop ops carry an
      * instruction-line address in fetch_addr (one per line the fetch
      * stream enters); loads/stores carry data addresses; branches carry
      * their resolved outcome. `represented` totals the real stream ops

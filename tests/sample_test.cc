@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/harness.h"
@@ -114,37 +115,14 @@ TEST(ResolveLayout, DegenerateInputsFallBackToExact)
     EXPECT_FALSE(resolve_layout(zero, 1'000'000).sampled);
 }
 
-TEST(ResolveLayout, AutoWindowDependsOnWarmingMode)
+TEST(ResolveLayout, DefaultWindowAndDiscard)
 {
     SamplePlan plan;
     plan.ratio = 0.02;
-    const IntervalLayout bridge = resolve_layout(plan, 1'000'000);
-    ASSERT_TRUE(bridge.sampled);
-    EXPECT_EQ(bridge.window_ops, 1'000u);
-    EXPECT_EQ(bridge.window_discard_ops, 250u);
-
-    plan.full_warming = true;
-    const IntervalLayout full = resolve_layout(plan, 1'000'000);
-    ASSERT_TRUE(full.sampled);
-    EXPECT_EQ(full.window_ops, 2'000u);
-    EXPECT_EQ(full.window_discard_ops, 1'000u);
-}
-
-TEST(ResolveLayout, BridgeScheduleShapes)
-{
-    SamplePlan plan;
-    plan.ratio = 0.02;
-    plan.window_ops = 1'000;
-    plan.warm_ops = 6'000;
-    plan.warmup_ops = 100'000;
-    const IntervalLayout layout = resolve_layout(plan, 1'100'000);
+    const IntervalLayout layout = resolve_layout(plan, 1'000'000);
     ASSERT_TRUE(layout.sampled);
-    EXPECT_EQ(layout.warmup_ops, 100'000u);
-    EXPECT_EQ(layout.windows, 20u);  // 0.02 * 1M / 1000
-    EXPECT_EQ(layout.period_ops, 50'000u);
-    EXPECT_EQ(layout.warm_ops, 6'000u);
-    EXPECT_EQ(layout.skip_ops(), 43'000u);
-    EXPECT_EQ(layout.detailed_ops(), 20'000u);
+    EXPECT_EQ(layout.window_ops, 2'000u);
+    EXPECT_EQ(layout.window_discard_ops, 1'000u);
 }
 
 TEST(ResolveLayout, FullWarmingWarmsTheWholeGap)
@@ -152,13 +130,23 @@ TEST(ResolveLayout, FullWarmingWarmsTheWholeGap)
     SamplePlan plan;
     plan.ratio = 0.1;
     plan.window_ops = 2'000;
-    plan.full_warming = true;
     plan.warmup_ops = 100'000;
     const IntervalLayout layout = resolve_layout(plan, 1'100'000);
     ASSERT_TRUE(layout.sampled);
-    EXPECT_TRUE(layout.full_warming);
-    EXPECT_EQ(layout.warm_ops, layout.gap_ops());
-    EXPECT_EQ(layout.skip_ops(), 0u);
+    EXPECT_EQ(layout.warmup_ops, 100'000u);
+    EXPECT_EQ(layout.windows, 50u);  // 0.1 * 1M / 2000
+    EXPECT_EQ(layout.period_ops, 20'000u);
+    EXPECT_EQ(layout.gap_ops(), 18'000u);
+    EXPECT_EQ(layout.detailed_ops(), 100'000u);
+}
+
+TEST(ResolveLayout, RejectsAnyModeButFullWarming)
+{
+    SamplePlan plan;
+    plan.ratio = 0.1;
+    plan.full_warming = false;
+    EXPECT_EXIT(resolve_layout(plan, 1'000'000),
+                ::testing::ExitedWithCode(1), "full_warming");
 }
 
 TEST(ResolveLayout, DiscardClampsToHalfWindow)
@@ -261,17 +249,15 @@ class ScheduleSink final : public trace::OpSink
 };
 
 IntervalLayout
-small_schedule(bool full_warming)
+small_schedule()
 {
     IntervalLayout layout;
     layout.sampled = true;
-    layout.full_warming = full_warming;
     layout.warmup_ops = 300;
     layout.windows = 4;
     layout.window_ops = 50;
     layout.window_discard_ops = 10;
     layout.period_ops = 500;
-    layout.warm_ops = full_warming ? layout.gap_ops() : 100;
     return layout;
 }
 
@@ -310,7 +296,7 @@ TEST(IntervalSchedule, PeriodicWindowsUntilStreamEnds)
 {
     // 300 warmup + 4 nominal periods of 500 = 2300; drive well past it
     // and the periodic schedule must keep opening windows.
-    const IntervalLayout layout = small_schedule(false);
+    const IntervalLayout layout = small_schedule();
     ScheduleSink sink(layout);
     trace::ExecCtx ctx = make_ctx(sink);
     ASSERT_TRUE(ctx.sampling());
@@ -332,7 +318,7 @@ TEST(IntervalSchedule, PeriodicWindowsUntilStreamEnds)
 
 TEST(IntervalSchedule, FullWarmingWarmsEveryGap)
 {
-    const IntervalLayout layout = small_schedule(true);
+    const IntervalLayout layout = small_schedule();
     ScheduleSink sink(layout);
     trace::ExecCtx ctx = make_ctx(sink);
     drive(ctx, 4'000);
@@ -351,7 +337,7 @@ TEST(IntervalSchedule, JitterVariesGapLengthsAroundTheMean)
     // With mean-preserving jitter in [gap/2, 3*gap/2], consecutive
     // windows are not equally spaced -- that spacing is exactly what
     // lets periodic phases escape a rigid schedule.
-    const IntervalLayout layout = small_schedule(false);
+    const IntervalLayout layout = small_schedule();
     ScheduleSink sink(layout);
     trace::ExecCtx ctx = make_ctx(sink);
     drive(ctx, 20'000);
@@ -400,7 +386,6 @@ TEST(SampledRun, FullWarmingTracksExactMode)
     exact.run.warmup_ops = 250'000;
     core::HarnessConfig sampled = exact;
     sampled.sampling.ratio = 0.15;
-    sampled.sampling.full_warming = true;
 
     const cpu::CounterReport e =
         core::run_workload("Grep", exact).report;
@@ -434,6 +419,54 @@ TEST(SampledRun, FullWarmingTracksExactMode)
     // The error bars exist only on the sampled report.
     EXPECT_GT(s.stderr_of(cpu::ReportMetric::kIpc), 0.0);
     EXPECT_EQ(e.stderr_of(cpu::ReportMetric::kIpc), 0.0);
+}
+
+/**
+ * Pins the sampled path bit for bit: an FNV-1a hash over every
+ * CounterReport field (stderr bars and window counts included) of
+ * full-warming runs of one workload per category. Any change to the
+ * schedule, its RNG draws, the warm paths or the report assembly shows
+ * up here, not only a change large enough to break a tolerance.
+ */
+TEST(SampledRun, FullWarmingGoldenHash)
+{
+    core::HarnessConfig config;
+    config.run.op_budget = 300'000;
+    config.run.warmup_ops = 75'000;
+    config.sampling.ratio = 0.15;
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ULL;
+    };
+    auto mix_double = [&mix](double v) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        mix(bits);
+    };
+    for (const char* name : {"WordCount", "Media Streaming", "SPECINT",
+                             "HPCC-RandomAccess"}) {
+        const core::RunResult run = core::run_workload(name, config);
+        ASSERT_TRUE(run.status.ok) << name;
+        const cpu::CounterReport& r = run.report;
+        for (const char c : r.workload)
+            mix(static_cast<unsigned char>(c));
+        for (const double v :
+             {r.instructions, r.cycles, r.ipc, r.kernel_instr_fraction,
+              r.stalls.fetch, r.stalls.rat, r.stalls.load, r.stalls.store,
+              r.stalls.rs, r.stalls.rob, r.l1i_mpki, r.itlb_walk_pki,
+              r.l2_mpki, r.l3_service_ratio, r.dtlb_walk_pki,
+              r.branch_misprediction_ratio})
+            mix_double(v);
+        mix(r.sampled ? 1 : 0);
+        mix(r.sample_windows);
+        for (const double v : r.metric_stderr)
+            mix_double(v);
+    }
+    // Computed when a second, skipping warming mode still existed; the
+    // one-mode engine must reproduce it exactly.
+    EXPECT_EQ(h, 0x4a3537b38a020366ULL);
 }
 
 /** A sampled run must leave exact mode untouched: a degenerate plan
