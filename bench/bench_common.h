@@ -127,30 +127,6 @@ flush_obs_sinks()
 }
 
 /**
- * Stamp a parallel suite's worker utilization into the run manifest:
- * aggregate busy time, slot utilization, and the load-imbalance spread
- * (max/min busy worker), next to the host facts. The cluster bench
- * reports the analogous per-shard numbers in BENCH_cluster.json.
- */
-inline void
-stamp_pool_stats(const core::SuiteResult& suite)
-{
-    obs::RunManifest& m = manifest();
-    m.set("pool_busy_seconds", suite.pool_busy_seconds);
-    m.set("pool_utilization", suite.pool_utilization);
-    m.set("pool_workers", std::uint64_t{suite.worker_tasks.size()});
-    double busy_min = 0.0;
-    double busy_max = 0.0;
-    for (std::size_t i = 0; i < suite.worker_busy_seconds.size(); ++i) {
-        const double b = suite.worker_busy_seconds[i];
-        busy_min = i == 0 ? b : std::min(busy_min, b);
-        busy_max = std::max(busy_max, b);
-    }
-    if (busy_min > 0.0)
-        m.set("pool_imbalance", busy_max / busy_min);
-}
-
-/**
  * Peak resident-set size of this process in bytes (getrusage; Linux
  * reports ru_maxrss in KiB). The benches record it next to recorder
  * byte counts so telemetry memory regressions show up in BENCH_*.json.

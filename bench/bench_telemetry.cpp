@@ -19,12 +19,20 @@
  *  5. Sketch merge determinism: two independent constructions of the
  *     same 8-shard merge must produce byte-identical dump() text, and
  *     the merged sketch must honor its widened epsilon.
+ *  6. Observability overhead: the serial 26-workload suite at a fixed
+ *     300k ops (no warm-up), plain vs armed with interval telemetry
+ *     every 3k ops plus a TraceWriter, as 5 adjacent pairs that
+ *     alternate which side runs first. Every pair's reports must be
+ *     bit-identical, and median armed / median plain - 1 must stay
+ *     within 0.10.
  *
  * Writes BENCH_telemetry.json (atomic) with every number plus the run
  * manifest; exits nonzero when any gate fails, so CI can run it as-is.
  *
  * Usage: ./bench_telemetry [--ops N] [--rows N] [--sketch-samples N]
  *                          [--workload NAME] [--manifest FILE]
+ * --ops sizes gate 3 only. An unknown flag or a malformed count exits 2
+ * naming it.
  */
 
 #include <algorithm>
@@ -92,6 +100,43 @@ rank_error(const std::vector<double>& sorted, double phi, double value)
     workload run crosses many extent boundaries. */
 constexpr std::uint32_t kStreamExtentRows = 256;
 
+/** Gate 6: per-workload budget, plain/armed pairs and overhead bound. */
+constexpr std::uint64_t kObsOps = 300'000;
+constexpr int kObsPairs = 5;
+constexpr double kObsMaxOverhead = 0.10;
+
+/** True when two suites ran the same workloads to bit-identical reports
+    (op and cycle totals plus every figure metric). */
+bool
+suites_identical(const core::SuiteResult& a, const core::SuiteResult& b)
+{
+    if (a.runs.size() != b.runs.size())
+        return false;
+    for (std::size_t i = 0; i < a.runs.size(); ++i) {
+        const cpu::CounterReport& x = a.runs[i].report;
+        const cpu::CounterReport& y = b.runs[i].report;
+        if (a.runs[i].status.ok != b.runs[i].status.ok ||
+            x.workload != y.workload || x.instructions != y.instructions ||
+            x.cycles != y.cycles)
+            return false;
+        for (std::size_t m = 0; m < cpu::kReportMetricCount; ++m) {
+            const auto metric = static_cast<cpu::ReportMetric>(m);
+            if (cpu::report_metric(x, metric) !=
+                cpu::report_metric(y, metric))
+                return false;
+        }
+    }
+    return true;
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 }  // namespace
 
 int
@@ -103,21 +148,16 @@ main(int argc, char** argv)
     std::vector<char*> pass;
     pass.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc)
-            encode_rows = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strncmp(argv[i], "--rows=", 7) == 0)
-            encode_rows = std::strtoull(argv[i] + 7, nullptr, 10);
-        else if (std::strcmp(argv[i], "--sketch-samples") == 0 &&
-                 i + 1 < argc)
-            sketch_samples = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strncmp(argv[i], "--sketch-samples=", 17) == 0)
-            sketch_samples = std::strtoull(argv[i] + 17, nullptr, 10);
-        else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc)
-            workload_name = argv[++i];
-        else if (std::strncmp(argv[i], "--workload=", 11) == 0)
-            workload_name = argv[i] + 11;
+        const char* arg = argv[i];
+        const char* v = nullptr;
+        if ((v = bench::flag_value(argc, argv, i, "--rows")))
+            encode_rows = bench::parse_count(arg, v);
+        else if ((v = bench::flag_value(argc, argv, i, "--sketch-samples")))
+            sketch_samples = bench::parse_count(arg, v);
+        else if ((v = bench::flag_value(argc, argv, i, "--workload")))
+            workload_name = v;
         else
-            pass.push_back(argv[i]);
+            pass.push_back(argv[i]);  // shared flags; rejects the rest
     }
     core::HarnessConfig config = bench::config_from_args(
         static_cast<int>(pass.size()), pass.data());
@@ -364,6 +404,50 @@ main(int argc, char** argv)
     if (!merge_identical)
         all_ok = false;
 
+    // --- 6: armed observability overhead on the serial suite ----------
+    // Telemetry recorders stay in memory (no out_path). Adjacent pairs
+    // that alternate the leading side let host drift hit both alike.
+    core::HarnessConfig plain_cfg = core::bench_config();
+    plain_cfg.run.op_budget = kObsOps;
+    plain_cfg.run.warmup_ops = 0;
+    plain_cfg.jobs = 1;
+    const std::vector<std::string> names = workloads::figure_order();
+    std::vector<double> plain_s;
+    std::vector<double> armed_s;
+    bool obs_identical = true;
+    for (int pair = 0; pair < kObsPairs; ++pair) {
+        obs::TraceWriter trace;
+        core::HarnessConfig armed_cfg = plain_cfg;
+        armed_cfg.telemetry.interval_ops = kObsOps / 100;
+        armed_cfg.trace = &trace;
+        core::SuiteResult suites[2];  // [0] plain, [1] armed
+        for (int side = 0; side < 2; ++side) {
+            const int armed = side ^ (pair % 2);
+            const auto start = Clock::now();
+            suites[armed] =
+                core::run_suite(names, armed ? armed_cfg : plain_cfg);
+            (armed ? armed_s : plain_s).push_back(seconds_since(start));
+        }
+        obs_identical =
+            obs_identical && suites_identical(suites[0], suites[1]);
+    }
+    const double obs_overhead = median(armed_s) / median(plain_s) - 1.0;
+    std::printf("\nobservability: %zu-workload serial suite at %llu ops, "
+                "%d pairs: median %.3f s plain, %.3f s armed (%+.1f%%); "
+                "reports bit-identical: %s\n",
+                names.size(), static_cast<unsigned long long>(kObsOps),
+                kObsPairs, median(plain_s), median(armed_s),
+                100.0 * obs_overhead, obs_identical ? "yes" : "NO -- BUG");
+    if (!obs_identical)
+        all_ok = false;
+    if (obs_overhead > kObsMaxOverhead) {
+        std::fprintf(stderr,
+                     "FAIL: observability overhead %.1f%% above allowed "
+                     "%.1f%%\n",
+                     100.0 * obs_overhead, 100.0 * kObsMaxOverhead);
+        all_ok = false;
+    }
+
     // --- JSON artifact -------------------------------------------------
     const char* json_path = "BENCH_telemetry.json";
     std::string temp;
@@ -424,6 +508,15 @@ main(int argc, char** argv)
         std::fprintf(f, "    \"merged_epsilon\": %.6f\n",
                      merged_a.epsilon());
         std::fprintf(f, "  },\n");
+        std::fprintf(f, "  \"obs_suite_ops\": %llu,\n",
+                     static_cast<unsigned long long>(kObsOps));
+        std::fprintf(f, "  \"obs_plain_seconds\": %.6f,\n",
+                     median(plain_s));
+        std::fprintf(f, "  \"obs_armed_seconds\": %.6f,\n",
+                     median(armed_s));
+        std::fprintf(f, "  \"obs_overhead\": %.4f,\n", obs_overhead);
+        std::fprintf(f, "  \"obs_bit_identical\": %s,\n",
+                     obs_identical ? "true" : "false");
         std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
                      static_cast<unsigned long long>(
                          bench::peak_rss_bytes()));

@@ -40,11 +40,12 @@
  *   --json FILE          summary path (default BENCH_chaos.json;
  *                        "none" disables; single-scenario runs write
  *                        none)
+ * Any other token, or a count that is not all digits, exits 2 naming
+ * it.
  */
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <map>
@@ -52,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/report.h"
 #include "fault/fault.h"
 #include "mapreduce/fairshare.h"
@@ -398,28 +400,24 @@ main(int argc, char** argv)
     std::string trace_path;
     std::string json_path = "BENCH_chaos.json";
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char* flag) -> const char* {
-            const std::size_t len = std::strlen(flag);
-            if (arg.compare(0, len, flag) == 0 && arg.size() > len &&
-                arg[len] == '=')
-                return arg.c_str() + len + 1;
-            if (arg == flag && i + 1 < argc)
-                return argv[++i];
-            return nullptr;
-        };
-        if (arg == "--check-invariants")
+        const char* arg = argv[i];
+        const char* v = nullptr;
+        if (std::strcmp(arg, "--check-invariants") == 0)
             check_invariants = true;
-        else if (const char* v = value("--scenarios"))
-            scenarios = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-        else if (const char* v = value("--seed"))
-            base_seed = std::strtoull(v, nullptr, 10);
-        else if (const char* v = value("--scenario"))
-            only_scenario = std::strtol(v, nullptr, 10);
-        else if (const char* v = value("--trace-out"))
+        else if ((v = bench::flag_value(argc, argv, i, "--scenarios")))
+            scenarios =
+                static_cast<std::uint32_t>(bench::parse_count(arg, v));
+        else if ((v = bench::flag_value(argc, argv, i, "--seed")))
+            base_seed = bench::parse_count(arg, v);
+        else if ((v = bench::flag_value(argc, argv, i, "--scenario")))
+            only_scenario =
+                static_cast<std::int64_t>(bench::parse_count(arg, v));
+        else if ((v = bench::flag_value(argc, argv, i, "--trace-out")))
             trace_path = v;
-        else if (const char* v = value("--json"))
+        else if ((v = bench::flag_value(argc, argv, i, "--json")))
             json_path = v;
+        else
+            bench::usage_error("unknown argument or missing value", arg);
     }
 
     const mapreduce::FairShareConfig fair;  // hardened defaults

@@ -84,7 +84,7 @@ main(int argc, char** argv)
     std::printf("\nexact runs (telemetry every %llu ops):\n",
                 static_cast<unsigned long long>(
                     config.telemetry.interval_ops));
-    core::SuiteResult suite = core::run_suite(names, config);
+    const core::SuiteResult suite = core::run_suite(names, config);
     bool telemetry_ok = suite.all_ok();
     for (std::size_t i = 0; i < suite.runs.size(); ++i) {
         const core::RunResult& run = suite.runs[i];
@@ -144,13 +144,6 @@ main(int argc, char** argv)
                 mj.jobs.size(), mj.makespan_s,
                 static_cast<unsigned long long>(mj.epochs), task_failures,
                 mj.cluster.nodes_lost);
-    suite.shard_barrier_wait_seconds.clear();
-    suite.shard_steals.clear();
-    for (const mapreduce::ShardStats& st : mj.shards) {
-        suite.shard_barrier_wait_seconds.push_back(
-            st.barrier_wait_seconds);
-        suite.shard_steals.push_back(st.steals);
-    }
     bench::stamp_phase_results(suite);
 
     bench::manifest().set("demo_workloads",

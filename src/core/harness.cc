@@ -386,10 +386,8 @@ run_suite(const std::vector<std::string>& names,
         out.pool_utilization = out.pool_busy_seconds /
                                (static_cast<double>(jobs) *
                                 out.wall_seconds);
-    for (const util::ThreadPool::WorkerStats& w : pool.worker_stats()) {
-        out.worker_tasks.push_back(w.tasks);
+    for (const util::ThreadPool::WorkerStats& w : pool.worker_stats())
         out.worker_busy_seconds.push_back(w.busy_seconds);
-    }
     out.warnings = util::warnings_since(warn_mark);
     return out;
 }

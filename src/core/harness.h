@@ -120,25 +120,9 @@ struct SuiteResult
     double pool_busy_seconds = 0.0;  ///< summed in-task worker time
     /** Busy fraction of pool slots: busy / (jobs x wall); 0 = serial. */
     double pool_utilization = 0.0;
-    /**
-     * Per-worker execution tallies (empty for serial runs): the spread
-     * across entries is the pool's load imbalance. Bench JSON and run
-     * manifests embed these next to the aggregate pool metrics, the
-     * same way the sharded cluster engine reports per-shard events
-     * processed and barrier-wait seconds.
-     */
-    std::vector<std::uint64_t> worker_tasks;
+    /** Per-worker busy seconds (empty for serial runs): the spread
+        across entries is the pool's load imbalance. */
     std::vector<double> worker_busy_seconds;
-    /**
-     * Per-shard engine stats when a cluster driver ran alongside the
-     * suite (empty otherwise): wall seconds each shard's lane idled at
-     * epoch barriers, and epochs in which a shard was drained by a
-     * worker other than its round-robin home. Filled by the cluster
-     * benches from mapreduce::ShardStats; host-side, never part of
-     * deterministic dumps.
-     */
-    std::vector<double> shard_barrier_wait_seconds;
-    std::vector<std::uint64_t> shard_steals;
     /** util::warn messages issued during the suite (bounded ring). */
     std::vector<std::string> warnings;
 

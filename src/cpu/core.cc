@@ -477,7 +477,6 @@ Core::begin_window_measurement()
     // The discard head has re-pressurized the pipeline (occupancy rings,
     // port cursors); deltas from here see steady-state timing.
     window_base_ = stats_;
-    window_pmu_base_ = pmu_.snapshot();
     in_measurement_ = true;
 }
 
@@ -497,7 +496,6 @@ Core::end_sample_window()
         stats_.user_instructions - window_base_.user_instructions;
     w.kernel_instructions =
         stats_.kernel_instructions - window_base_.kernel_instructions;
-    w.pmu = delta(window_pmu_base_, pmu_.snapshot());
     windows_.push_back(w);
     // The window moved the fetch point through the timed path; the warm
     // page memo no longer reflects the last warm touch.

@@ -65,7 +65,6 @@ struct WindowSample
     std::array<double, kEventCount> events{};
     double user_instructions = 0.0;
     double kernel_instructions = 0.0;
-    PmuSnapshot pmu;  ///< fixed-counter delta (PMU runs only if enabled)
 };
 
 /** One simulated out-of-order core with its private memory structures. */
@@ -277,7 +276,6 @@ class Core final : public trace::OpSink
     bool in_measurement_ = false;  ///< discard head retired, baseline set
     std::vector<WindowSample> windows_;
     CoreStats window_base_;  ///< stats at begin_window_measurement()
-    PmuSnapshot window_pmu_base_;
     std::uint64_t warm_user_ops_ = 0;
     std::uint64_t warm_kernel_ops_ = 0;
     /** Last fetch page warmed (ITLB warm once per page transition). */

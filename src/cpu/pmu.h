@@ -74,25 +74,6 @@ struct PmuReading
     double scaled = 0.0;       ///< raw * total_instr / enabled_instr
 };
 
-/**
- * Point-in-time copy of the fixed counters. Interval sampling brackets
- * each detailed window with snapshot() calls and feeds the deltas to
- * the estimator.
- */
-struct PmuSnapshot
-{
-    double instructions = 0.0;
-    double cycles = 0.0;
-};
-
-/** Fixed-counter delta between two snapshots (end - begin). */
-inline PmuSnapshot
-delta(const PmuSnapshot& begin, const PmuSnapshot& end)
-{
-    return {end.instructions - begin.instructions,
-            end.cycles - begin.cycles};
-}
-
 /** The per-core PMU. */
 class Pmu
 {
@@ -141,12 +122,6 @@ class Pmu
     /** Fixed counters (always on while enabled). */
     double fixed_instructions() const { return fixed_instructions_; }
     double fixed_cycles() const { return fixed_cycles_; }
-
-    /** Copy of the fixed counters (window deltas via delta()). */
-    PmuSnapshot snapshot() const
-    {
-        return {fixed_instructions_, fixed_cycles_};
-    }
 
   private:
     struct Slot

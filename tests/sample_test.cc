@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/harness.h"
@@ -16,6 +18,7 @@
 #include "sample/plan.h"
 #include "trace/code_layout.h"
 #include "trace/exec_ctx.h"
+#include "workloads/registry.h"
 
 namespace dcb::sample {
 namespace {
@@ -467,6 +470,46 @@ TEST(SampledRun, FullWarmingGoldenHash)
     // Computed when a second, skipping warming mode still existed; the
     // one-mode engine must reproduce it exactly.
     EXPECT_EQ(h, 0x4a3537b38a020366ULL);
+}
+
+/**
+ * The fidelity guard over the whole figure suite: every fig03-fig12
+ * metric of every workload, exact vs sampled at ratio 0.15 and 500k
+ * ops, within a relative error of 1.5. The error has an absolute floor
+ * of 0.02 so near-zero metrics (ITLB walks PKI ~0.01) do not turn a
+ * negligible difference into a huge relative one. The worst value is
+ * about 1.0 (stall_store on Grep).
+ */
+TEST(SampledRun, SuiteWithinFidelityGuard)
+{
+    constexpr double kRelErrFloor = 0.02;
+    constexpr double kMaxRelErr = 1.5;
+    core::HarnessConfig exact = core::bench_config();
+    exact.run.op_budget = 500'000;
+    exact.run.warmup_ops = exact.run.op_budget / 4;
+    exact.jobs = 4;  // results are bit-identical to serial
+    core::HarnessConfig sampled = exact;
+    sampled.sampling.ratio = 0.15;
+
+    const std::vector<std::string> names = workloads::figure_order();
+    const core::SuiteResult e = core::run_suite(names, exact);
+    const core::SuiteResult s = core::run_suite(names, sampled);
+    ASSERT_EQ(e.runs.size(), names.size());
+    ASSERT_EQ(s.runs.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        ASSERT_TRUE(e.runs[i].status.ok) << names[i];
+        ASSERT_TRUE(s.runs[i].status.ok) << names[i];
+        for (std::size_t m = 0; m < cpu::kReportMetricCount; ++m) {
+            const auto metric = static_cast<cpu::ReportMetric>(m);
+            const double want = cpu::report_metric(e.runs[i].report, metric);
+            const double got = cpu::report_metric(s.runs[i].report, metric);
+            EXPECT_LE(std::fabs(got - want) /
+                          std::max(std::fabs(want), kRelErrFloor),
+                      kMaxRelErr)
+                << cpu::report_metric_name(metric) << " on " << names[i]
+                << ": exact " << want << ", sampled " << got;
+        }
+    }
 }
 
 /** A sampled run must leave exact mode untouched: a degenerate plan
