@@ -51,7 +51,7 @@ main(int argc, char** argv)
 {
     using namespace dcb;
     const std::uint64_t budget =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2'000'000;
+        bench::budget_from_args(argc, argv, 2'000'000);
 
     const auto jvm = run_wordcount_with_layout(
         workloads::FootprintClass::kJvmFramework, "jvm-scale binary",

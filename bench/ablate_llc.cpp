@@ -21,7 +21,7 @@ main(int argc, char** argv)
 {
     using namespace dcb;
     const std::uint64_t budget =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1'500'000;
+        bench::budget_from_args(argc, argv, 1'500'000);
 
     util::Table table({"L3 size", "PageRank L3 ratio",
                        "PageRank L2->mem MPKI", "Web Serving L3 ratio"});

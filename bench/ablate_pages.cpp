@@ -38,7 +38,7 @@ main(int argc, char** argv)
 {
     using namespace dcb;
     const std::uint64_t budget =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1'500'000;
+        bench::budget_from_args(argc, argv, 1'500'000);
 
     util::Table table({"workload", "page", "ITLB walks PKI",
                        "DTLB walks PKI", "IPC"});

@@ -86,7 +86,7 @@ main(int argc, char** argv)
 {
     using namespace dcb;
     const std::uint64_t budget =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2'000'000;
+        bench::budget_from_args(argc, argv, 2'000'000);
 
     core::HarnessConfig config = core::bench_config();
     config.run.op_budget = budget;

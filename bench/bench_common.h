@@ -181,6 +181,21 @@ parse_count(const char* flag, const char* text)
     return v;
 }
 
+/**
+ * The op budget of a bench whose one optional argument is that budget:
+ * `fallback` without arguments; any other token exits 2 naming it.
+ */
+inline std::uint64_t
+budget_from_args(int argc, char** argv, std::uint64_t fallback)
+{
+    for (int i = 1; i < argc; ++i)
+        if (i > 1 || !all_digits(argv[i]))
+            usage_error("unexpected argument (the only argument is the "
+                        "all-digit op budget)",
+                        argv[i]);
+    return argc > 1 ? parse_count("op budget", argv[1]) : fallback;
+}
+
 /** `text` as a real number for `flag`; exits 2 unless it parses
  *  completely to a finite value. */
 inline double

@@ -12,7 +12,6 @@
 
 #include "cpu/branch.h"
 #include "cpu/core.h"
-#include "cpu/perf.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "trace/code_layout.h"
@@ -165,20 +164,6 @@ BM_BranchResolveConditional(benchmark::State& state)
     }
 }
 BENCHMARK(BM_BranchResolveConditional);
-
-void
-BM_CoreConsumeWithPmu(benchmark::State& state)
-{
-    cpu::Core core(cpu::westmere_core_config(),
-                   mem::westmere_memory_config());
-    core.pmu().configure_events(cpu::default_event_set(), 50'000);
-    trace::MicroOp op;
-    op.cls = trace::OpClass::kAlu;
-    op.fetch_addr = 0x1000;
-    for (auto _ : state)
-        core.consume(op);
-}
-BENCHMARK(BM_CoreConsumeWithPmu);
 
 }  // namespace
 

@@ -239,19 +239,11 @@ run_workload(workloads::Workload& workload, const HarnessConfig& config,
                                   name);
         span_start_us = config.trace->now_us();
     }
-    if (config.use_pmu) {
-        core.pmu().configure_events(cpu::default_event_set(),
-                                    config.pmu_rotate_instr);
-    }
     workload.run(core, config.run);
     core.finish_observation();
-    cpu::CounterReport report;
-    if (sampler.active())
-        report = sampler.make_report(name, core);
-    else if (config.use_pmu)
-        report = cpu::make_report_from_pmu(name, core);
-    else
-        report = cpu::make_report(name, core);
+    cpu::CounterReport report =
+        sampler.active() ? sampler.make_report(name, core)
+                         : cpu::make_report(name, core);
     if (config.trace != nullptr) {
         const double now_us = config.trace->now_us();
         config.trace->complete(
@@ -270,11 +262,9 @@ run_workload(workloads::Workload& workload, const HarnessConfig& config,
             const std::string base = config.telemetry.out_path +
                                      sanitize_for_path(name) +
                                      ".telemetry";
-            if (config.telemetry.write_csv &&
-                !recorder->write_csv(base + ".csv"))
+            if (!recorder->write_csv(base + ".csv"))
                 util::warn("obs", "cannot write " + base + ".csv");
-            if (config.telemetry.write_json &&
-                !recorder->write_json(base + ".json"))
+            if (!recorder->write_json(base + ".json"))
                 util::warn("obs", "cannot write " + base + ".json");
         }
         if (config.detect_phases)

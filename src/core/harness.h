@@ -4,8 +4,9 @@
 /**
  * @file
  * The DCBench-Repro run harness: instantiates the Table III machine,
- * applies the paper's methodology (ramp-up discard, ~20-event perf-style
- * collection) and produces a CounterReport per workload.
+ * applies the paper's methodology (ramp-up discard, then exact
+ * always-on counts of every event; perf-style multiplexing is not
+ * modelled) and produces a CounterReport per workload.
  *
  * Runs are isolated: an unknown workload name or a workload that throws
  * mid-run is reported as a per-run RunStatus instead of aborting the
@@ -34,13 +35,6 @@ struct HarnessConfig
     workloads::RunConfig run{};
     cpu::CoreConfig core_config = cpu::westmere_core_config();
     mem::MemoryConfig memory_config = mem::westmere_memory_config();
-    /**
-     * Collect through the multiplexed PMU (the paper's actual
-     * methodology) instead of the always-on counters. Slightly noisier;
-     * the two paths agree within multiplexing error.
-     */
-    bool use_pmu = false;
-    std::uint64_t pmu_rotate_instr = 50'000;
     /**
      * Worker threads for run_suite (0 = one per hardware thread). Each
      * workload runs on its own fully private simulated machine, so a

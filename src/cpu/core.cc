@@ -14,6 +14,27 @@ enum PortClass : std::size_t { kPortAlu = 0, kPortFpu, kPortLoad, kPortStore };
 
 }  // namespace
 
+CoreStats&
+CoreStats::operator+=(const CoreStats& other)
+{
+    for (std::size_t i = 0; i < kEventCount; ++i)
+        values_[i] += other.values_[i];
+    user_instructions += other.user_instructions;
+    kernel_instructions += other.kernel_instructions;
+    return *this;
+}
+
+CoreStats
+CoreStats::operator-(const CoreStats& base) const
+{
+    CoreStats d;
+    for (std::size_t i = 0; i < kEventCount; ++i)
+        d.values_[i] = values_[i] - base.values_[i];
+    d.user_instructions = user_instructions - base.user_instructions;
+    d.kernel_instructions = kernel_instructions - base.kernel_instructions;
+    return d;
+}
+
 Core::Core(const CoreConfig& core_config,
            const mem::MemoryConfig& memory_config)
     : cfg_(core_config),
@@ -46,30 +67,23 @@ Core::Core(const CoreConfig& core_config,
 }
 
 void
-Core::note(Event e, double w, trace::Mode mode)
+Core::note_unified_levels(mem::HitLevel level)
 {
-    stats_.add(e, w);
-    pmu_.record(e, w, mode);
-}
-
-void
-Core::note_unified_levels(mem::HitLevel level, trace::Mode mode)
-{
-    note(Event::kL2Access, 1.0, mode);
+    note(Event::kL2Access, 1.0);
     if (level == mem::HitLevel::kL2)
         return;
-    note(Event::kL2Miss, 1.0, mode);
-    note(Event::kL3Access, 1.0, mode);
+    note(Event::kL2Miss, 1.0);
+    note(Event::kL3Access, 1.0);
     if (level == mem::HitLevel::kL3)
         return;
-    note(Event::kL3Miss, 1.0, mode);
+    note(Event::kL3Miss, 1.0);
 }
 
 std::uint32_t
 Core::walker_access(std::uint64_t addr)
 {
     const mem::AccessResult r = hierarchy_.walker_access(addr);
-    note_unified_levels(r.level, cur_mode_);
+    note_unified_levels(r.level);
     return r.latency;
 }
 
@@ -99,9 +113,6 @@ Core::consume_one(const trace::MicroOp& op)
     using trace::Mode;
     using trace::OpClass;
 
-    const Mode mode = op.mode;
-    cur_mode_ = mode;
-
     // ------------------------------------------------------------------
     // Front end: ITLB translation + L1I fetch. The fetch cursor may not
     // run further ahead of dispatch than the in-flight window allows.
@@ -113,16 +124,16 @@ Core::consume_one(const trace::MicroOp& op)
 
     const mem::TranslationResult itr = itlb_.translate(op.fetch_addr);
     if (!itr.l1_hit)
-        note(Event::kITlbL1Miss, 1.0, mode);
+        note(Event::kITlbL1Miss, 1.0);
     if (itr.walked)
-        note(Event::kITlbWalk, 1.0, mode);
+        note(Event::kITlbWalk, 1.0);
 
     const mem::AccessResult fa = hierarchy_.fetch(op.fetch_addr);
-    note(Event::kL1IAccess, 1.0, mode);
+    note(Event::kL1IAccess, 1.0);
     double frontend_penalty = itr.latency;
     if (fa.level != mem::HitLevel::kL1) {
-        note(Event::kL1IMiss, 1.0, mode);
-        note_unified_levels(fa.level, mode);
+        note(Event::kL1IMiss, 1.0);
+        note_unified_levels(fa.level);
         frontend_penalty += fa.latency;
     }
     // The decoupled front end (fetch/uop queues) absorbs short
@@ -130,7 +141,7 @@ Core::consume_one(const trace::MicroOp& op)
     frontend_penalty = std::max(0.0, frontend_penalty -
                                          cfg_.frontend_hide_cycles);
     if (frontend_penalty > 0.0) {
-        note(Event::kFetchStallCycles, frontend_penalty, mode);
+        note(Event::kFetchStallCycles, frontend_penalty);
         fetch_time_ += frontend_penalty;
     }
     fetch_time_ += inv_fetch_width_;
@@ -148,7 +159,7 @@ Core::consume_one(const trace::MicroOp& op)
     if (op.partial_reg)
         rat_penalty += cfg_.partial_reg_penalty;
     if (rat_penalty > 0.0) {
-        note(Event::kRatStallCycles, rat_penalty, mode);
+        note(Event::kRatStallCycles, rat_penalty);
         renamed += rat_penalty;
     }
     rename_time_ = renamed;
@@ -165,14 +176,14 @@ Core::consume_one(const trace::MicroOp& op)
     if (++rob_cursor_ == rob_.size())
         rob_cursor_ = 0;
     if (rob_[rob_slot] > dispatched) {
-        note(Event::kRobFullStallCycles, rob_[rob_slot] - dispatched, mode);
+        note(Event::kRobFullStallCycles, rob_[rob_slot] - dispatched);
         dispatched = rob_[rob_slot];
     }
     const std::size_t rs_slot = rs_cursor_;
     if (++rs_cursor_ == rs_.size())
         rs_cursor_ = 0;
     if (rs_[rs_slot] > dispatched) {
-        note(Event::kRsFullStallCycles, rs_[rs_slot] - dispatched, mode);
+        note(Event::kRsFullStallCycles, rs_[rs_slot] - dispatched);
         dispatched = rs_[rs_slot];
     }
     std::size_t lq_slot = 0;
@@ -182,8 +193,7 @@ Core::consume_one(const trace::MicroOp& op)
         if (++load_cursor_ == load_buf_.size())
             load_cursor_ = 0;
         if (load_buf_[lq_slot] > dispatched) {
-            note(Event::kLoadBufStallCycles, load_buf_[lq_slot] - dispatched,
-                 mode);
+            note(Event::kLoadBufStallCycles, load_buf_[lq_slot] - dispatched);
             dispatched = load_buf_[lq_slot];
         }
     } else if (op.cls == OpClass::kStore) {
@@ -192,7 +202,7 @@ Core::consume_one(const trace::MicroOp& op)
             store_cursor_ = 0;
         if (store_buf_[sq_slot] > dispatched) {
             note(Event::kStoreBufStallCycles,
-                 store_buf_[sq_slot] - dispatched, mode);
+                 store_buf_[sq_slot] - dispatched);
             dispatched = store_buf_[sq_slot];
         }
     }
@@ -226,15 +236,15 @@ Core::consume_one(const trace::MicroOp& op)
         port = kPortLoad;
         const mem::TranslationResult dtr = dtlb_.translate(op.addr);
         if (!dtr.l1_hit)
-            note(Event::kDTlbL1Miss, 1.0, mode);
+            note(Event::kDTlbL1Miss, 1.0);
         if (dtr.walked)
-            note(Event::kDTlbWalk, 1.0, mode);
+            note(Event::kDTlbWalk, 1.0);
         const mem::AccessResult da = hierarchy_.data_access(op.addr, false);
-        note(Event::kLoads, 1.0, mode);
-        note(Event::kL1DAccess, 1.0, mode);
+        note(Event::kLoads, 1.0);
+        note(Event::kL1DAccess, 1.0);
         if (da.level != mem::HitLevel::kL1) {
-            note(Event::kL1DMiss, 1.0, mode);
-            note_unified_levels(da.level, mode);
+            note(Event::kL1DMiss, 1.0);
+            note_unified_levels(da.level);
         }
         exec_latency = da.latency + dtr.latency;
         if (da.level == mem::HitLevel::kMemory) {
@@ -249,15 +259,15 @@ Core::consume_one(const trace::MicroOp& op)
         port = kPortStore;
         const mem::TranslationResult dtr = dtlb_.translate(op.addr);
         if (!dtr.l1_hit)
-            note(Event::kDTlbL1Miss, 1.0, mode);
+            note(Event::kDTlbL1Miss, 1.0);
         if (dtr.walked)
-            note(Event::kDTlbWalk, 1.0, mode);
+            note(Event::kDTlbWalk, 1.0);
         const mem::AccessResult da = hierarchy_.data_access(op.addr, true);
-        note(Event::kStores, 1.0, mode);
-        note(Event::kL1DAccess, 1.0, mode);
+        note(Event::kStores, 1.0);
+        note(Event::kL1DAccess, 1.0);
         if (da.level != mem::HitLevel::kL1) {
-            note(Event::kL1DMiss, 1.0, mode);
-            note_unified_levels(da.level, mode);
+            note(Event::kL1DMiss, 1.0);
+            note_unified_levels(da.level);
         }
         // Forwardable after address generation; the write drains to the
         // cache after retirement and holds the store-buffer entry.
@@ -312,14 +322,14 @@ Core::consume_one(const trace::MicroOp& op)
     // branch resolves plus the refill depth.
     // ------------------------------------------------------------------
     if (op.cls == OpClass::kBranch) {
-        note(Event::kBrRetired, 1.0, mode);
+        note(Event::kBrRetired, 1.0);
         const bool mispredicted =
             op.indirect ? branch_.resolve_indirect(op.branch_key,
                                                    op.target_key)
                         : branch_.resolve_conditional(op.branch_key,
                                                       op.taken);
         if (mispredicted) {
-            note(Event::kBrMispred, 1.0, mode);
+            note(Event::kBrMispred, 1.0);
             // The recovery bubble costs cycles (front end restarts after
             // resolution) but is not an instruction-fetch-stall *event*:
             // the paper's six Figure 6 counters do not include
@@ -336,7 +346,7 @@ Core::consume_one(const trace::MicroOp& op)
     const std::uint64_t pf = hierarchy_.prefetch_fills();
     if (pf != seen_prefetch_fills_) {
         note(Event::kPrefetchFill,
-             static_cast<double>(pf - seen_prefetch_fills_), mode);
+             static_cast<double>(pf - seen_prefetch_fills_));
         seen_prefetch_fills_ = pf;
     }
     const std::uint64_t pfm = hierarchy_.prefetch_memory_fills();
@@ -349,9 +359,9 @@ Core::consume_one(const trace::MicroOp& op)
         seen_prefetch_mem_fills_ = pfm;
     }
 
-    note(Event::kInstRetired, 1.0, mode);
-    note(Event::kCycles, retired - prev_retire, mode);
-    if (mode == Mode::kUser)
+    note(Event::kInstRetired, 1.0);
+    note(Event::kCycles, retired - prev_retire);
+    if (op.mode == Mode::kUser)
         stats_.user_instructions += 1.0;
     else
         stats_.kernel_instructions += 1.0;
@@ -389,7 +399,6 @@ Core::warm_one(const trace::MicroOp& op)
     // the full-stream event totals match exact mode and the rate metrics
     // are near-exact by construction. Timing events (cycles, stalls)
     // still come only from the windows.
-    cur_mode_ = op.mode;  // walker_access attributes to cur_mode_
     switch (op.cls) {
       case OpClass::kNop: {
         // Line-granular fetch stream: warm the ITLB once per page
@@ -399,24 +408,24 @@ Core::warm_one(const trace::MicroOp& op)
         if (page != last_warm_fetch_page_) {
             last_warm_fetch_page_ = page;
             if (itlb_.warm_translate(op.fetch_addr))
-                note(Event::kITlbWalk, 1.0, op.mode);
+                note(Event::kITlbWalk, 1.0);
         }
         const mem::AccessResult fa = hierarchy_.fetch(op.fetch_addr);
         if (fa.level != mem::HitLevel::kL1) {
-            note(Event::kL1IMiss, 1.0, op.mode);
-            note_unified_levels(fa.level, op.mode);
+            note(Event::kL1IMiss, 1.0);
+            note_unified_levels(fa.level);
         }
         break;
       }
       case OpClass::kLoad:
       case OpClass::kStore: {
         if (dtlb_.warm_translate(op.addr))
-            note(Event::kDTlbWalk, 1.0, op.mode);
+            note(Event::kDTlbWalk, 1.0);
         const mem::AccessResult da = hierarchy_.data_access(op.addr,
                                                             false);
         if (da.level != mem::HitLevel::kL1) {
-            note(Event::kL1DMiss, 1.0, op.mode);
-            note_unified_levels(da.level, op.mode);
+            note(Event::kL1DMiss, 1.0);
+            note_unified_levels(da.level);
         }
         break;
       }
@@ -427,9 +436,9 @@ Core::warm_one(const trace::MicroOp& op)
                                                    op.target_key)
                         : branch_.resolve_conditional(op.branch_key,
                                                       op.taken);
-        note(Event::kBrRetired, 1.0, op.mode);
+        note(Event::kBrRetired, 1.0);
         if (mispredicted)
-            note(Event::kBrMispred, 1.0, op.mode);
+            note(Event::kBrMispred, 1.0);
         break;
       }
       default:
@@ -487,16 +496,7 @@ Core::end_sample_window()
         return;
     in_window_ = false;
     in_measurement_ = false;
-    WindowSample w;
-    for (std::size_t i = 0; i < kEventCount; ++i) {
-        const auto e = static_cast<Event>(i);
-        w.events[i] = stats_.get(e) - window_base_.get(e);
-    }
-    w.user_instructions =
-        stats_.user_instructions - window_base_.user_instructions;
-    w.kernel_instructions =
-        stats_.kernel_instructions - window_base_.kernel_instructions;
-    windows_.push_back(w);
+    windows_.push_back(stats_ - window_base_);
     // The window moved the fetch point through the timed path; the warm
     // page memo no longer reflects the last warm touch.
     last_warm_fetch_page_ = ~std::uint64_t{0};

@@ -27,7 +27,7 @@
 
 #include "cpu/branch.h"
 #include "cpu/config.h"
-#include "cpu/pmu.h"
+#include "cpu/events.h"
 #include "mem/hierarchy.h"
 #include "mem/page_table.h"
 #include "mem/tlb.h"
@@ -38,7 +38,10 @@
 
 namespace dcb::cpu {
 
-/** Raw event totals, collected unconditionally alongside the PMU. */
+/**
+ * Raw event totals: an exact, always-on count of every Event. The one
+ * counter record the core keeps; every report derives from it.
+ */
 class CoreStats
 {
   public:
@@ -49,22 +52,16 @@ class CoreStats
 
     void add(Event e, double w) { values_[static_cast<std::size_t>(e)] += w; }
 
+    /** Add every count of `other` (sums window deltas). */
+    CoreStats& operator+=(const CoreStats& other);
+    /** The counts accumulated since `base` was this record. */
+    CoreStats operator-(const CoreStats& base) const;
+
     double user_instructions = 0.0;
     double kernel_instructions = 0.0;
 
   private:
     std::array<double, kEventCount> values_{};
-};
-
-/**
- * Event deltas over one detailed measurement window (interval sampling).
- * Fed to sample::IntervalEstimator for per-metric standard errors.
- */
-struct WindowSample
-{
-    std::array<double, kEventCount> events{};
-    double user_instructions = 0.0;
-    double kernel_instructions = 0.0;
 };
 
 /** One simulated out-of-order core with its private memory structures. */
@@ -105,8 +102,11 @@ class Core final : public trace::OpSink
     void end_sample_window() override;
     void sampling_warmup_done() override;
 
-    /** Completed detailed windows (empty in exact mode). */
-    const std::vector<WindowSample>& sample_windows() const
+    /**
+     * Counter deltas of the completed detailed windows (empty in exact
+     * mode).
+     */
+    const std::vector<CoreStats>& sample_windows() const
     {
         return windows_;
     }
@@ -131,7 +131,6 @@ class Core final : public trace::OpSink
     std::uint64_t dtlb_walks() const { return dtlb_.completed_walks(); }
     const BranchUnit& branch_unit() const { return branch_; }
 
-    Pmu& pmu() { return pmu_; }
     mem::CacheHierarchy& caches() { return hierarchy_; }
     const mem::CacheHierarchy& caches() const { return hierarchy_; }
 
@@ -158,7 +157,7 @@ class Core final : public trace::OpSink
 
     /**
      * Column names of the interval telemetry rows this core produces:
-     * every PMU event (deltas), user/kernel retired instructions
+     * every Event (deltas), user/kernel retired instructions
      * (deltas), then the derived gauges (interval IPC and mean
      * ROB/RS/load-buffer/store-buffer occupancy).
      */
@@ -206,9 +205,9 @@ class Core final : public trace::OpSink
     /** Close the open sampling-segment span at host time `now_us`. */
     void close_segment_span(double now_us);
 
-    void note(Event e, double w, trace::Mode mode);
+    void note(Event e, double w) { stats_.add(e, w); }
     /** Record L2/L3 access+miss events for one beyond-L1 access. */
-    void note_unified_levels(mem::HitLevel level, trace::Mode mode);
+    void note_unified_levels(mem::HitLevel level);
     /** Page-walker PTE access that also records unified-cache events. */
     std::uint32_t walker_access(std::uint64_t addr);
 
@@ -219,7 +218,6 @@ class Core final : public trace::OpSink
     mem::TwoLevelTlb itlb_;
     mem::TwoLevelTlb dtlb_;
     BranchUnit branch_;
-    Pmu pmu_;
     CoreStats stats_;
 
     // Stage-width reciprocals (cycles per op at full width).
@@ -261,7 +259,6 @@ class Core final : public trace::OpSink
     std::size_t store_cursor_ = 0;
     std::uint64_t seen_prefetch_fills_ = 0;
     std::uint64_t seen_prefetch_mem_fills_ = 0;
-    trace::Mode cur_mode_ = trace::Mode::kUser;
     /** Memory-bus cursor: next cycle a line transfer can start. */
     double mem_bus_time_ = 0.0;
     std::uint64_t warmup_reset_at_ = 0;
@@ -274,7 +271,7 @@ class Core final : public trace::OpSink
     bool has_sample_layout_ = false;
     bool in_window_ = false;
     bool in_measurement_ = false;  ///< discard head retired, baseline set
-    std::vector<WindowSample> windows_;
+    std::vector<CoreStats> windows_;
     CoreStats window_base_;  ///< stats at begin_window_measurement()
     std::uint64_t warm_user_ops_ = 0;
     std::uint64_t warm_kernel_ops_ = 0;

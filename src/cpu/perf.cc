@@ -1,7 +1,5 @@
 #include "cpu/perf.h"
 
-#include <array>
-
 namespace dcb::cpu {
 
 const char*
@@ -69,100 +67,43 @@ normalize_stalls(double fetch, double rat, double load, double store,
     return b;
 }
 
-namespace {
-
-/** Shared derivation once per-event totals are available. */
 CounterReport
-derive(const std::string& workload,
-       const std::array<double, kEventCount>& v, double kernel_instr)
+make_report(const std::string& workload, const CoreStats& stats)
 {
-    auto get = [&v](Event e) { return v[static_cast<std::size_t>(e)]; };
-
     CounterReport r;
     r.workload = workload;
-    r.instructions = get(Event::kInstRetired);
-    r.cycles = get(Event::kCycles);
+    r.instructions = stats.get(Event::kInstRetired);
+    r.cycles = stats.get(Event::kCycles);
     r.ipc = r.cycles > 0.0 ? r.instructions / r.cycles : 0.0;
-    r.kernel_instr_fraction =
-        r.instructions > 0.0 ? kernel_instr / r.instructions : 0.0;
-    r.stalls = normalize_stalls(get(Event::kFetchStallCycles),
-                                get(Event::kRatStallCycles),
-                                get(Event::kLoadBufStallCycles),
-                                get(Event::kStoreBufStallCycles),
-                                get(Event::kRsFullStallCycles),
-                                get(Event::kRobFullStallCycles));
+    r.kernel_instr_fraction = r.instructions > 0.0
+                                  ? stats.kernel_instructions / r.instructions
+                                  : 0.0;
+    r.stalls = normalize_stalls(stats.get(Event::kFetchStallCycles),
+                                stats.get(Event::kRatStallCycles),
+                                stats.get(Event::kLoadBufStallCycles),
+                                stats.get(Event::kStoreBufStallCycles),
+                                stats.get(Event::kRsFullStallCycles),
+                                stats.get(Event::kRobFullStallCycles));
     const double kilo_instr = r.instructions / 1000.0;
     if (kilo_instr > 0.0) {
-        r.l1i_mpki = get(Event::kL1IMiss) / kilo_instr;
-        r.itlb_walk_pki = get(Event::kITlbWalk) / kilo_instr;
-        r.l2_mpki = get(Event::kL2Miss) / kilo_instr;
-        r.dtlb_walk_pki = get(Event::kDTlbWalk) / kilo_instr;
+        r.l1i_mpki = stats.get(Event::kL1IMiss) / kilo_instr;
+        r.itlb_walk_pki = stats.get(Event::kITlbWalk) / kilo_instr;
+        r.l2_mpki = stats.get(Event::kL2Miss) / kilo_instr;
+        r.dtlb_walk_pki = stats.get(Event::kDTlbWalk) / kilo_instr;
     }
-    const double l2_miss = get(Event::kL2Miss);
+    const double l2_miss = stats.get(Event::kL2Miss);
     if (l2_miss > 0.0)
-        r.l3_service_ratio = (l2_miss - get(Event::kL3Miss)) / l2_miss;
-    const double branches = get(Event::kBrRetired);
+        r.l3_service_ratio = (l2_miss - stats.get(Event::kL3Miss)) / l2_miss;
+    const double branches = stats.get(Event::kBrRetired);
     if (branches > 0.0)
-        r.branch_misprediction_ratio = get(Event::kBrMispred) / branches;
+        r.branch_misprediction_ratio = stats.get(Event::kBrMispred) / branches;
     return r;
 }
-
-}  // namespace
 
 CounterReport
 make_report(const std::string& workload, const Core& core)
 {
-    std::array<double, kEventCount> v{};
-    for (std::size_t i = 0; i < kEventCount; ++i)
-        v[i] = core.stats().get(static_cast<Event>(i));
-    return derive(workload, v, core.stats().kernel_instructions);
-}
-
-CounterReport
-make_report_from_pmu(const std::string& workload, const Core& core)
-{
-    std::array<double, kEventCount> v{};
-    double kernel_instr = 0.0;
-    // The PMU in Core is const-reachable only via stats; take readings
-    // through a const_cast-free copy of the public interface.
-    Pmu& pmu = const_cast<Core&>(core).pmu();
-    for (const PmuReading& reading : pmu.readings()) {
-        const auto idx = static_cast<std::size_t>(reading.select.event);
-        if (reading.select.count_user && reading.select.count_kernel)
-            v[idx] += reading.scaled;
-        else if (reading.select.count_kernel &&
-                 reading.select.event == Event::kInstRetired)
-            kernel_instr += reading.scaled;
-    }
-    // Instructions and cycles come from the fixed counters (never
-    // multiplexed), as on real hardware.
-    v[static_cast<std::size_t>(Event::kInstRetired)] =
-        pmu.fixed_instructions();
-    v[static_cast<std::size_t>(Event::kCycles)] = pmu.fixed_cycles();
-    return derive(workload, v, kernel_instr);
-}
-
-std::vector<EventSelect>
-default_event_set()
-{
-    std::vector<EventSelect> events;
-    const Event both_modes[] = {
-        Event::kL1IAccess,     Event::kL1IMiss,
-        Event::kITlbL1Miss,    Event::kITlbWalk,
-        Event::kL1DAccess,     Event::kL1DMiss,
-        Event::kL2Access,      Event::kL2Miss,
-        Event::kL3Access,      Event::kL3Miss,
-        Event::kDTlbL1Miss,    Event::kDTlbWalk,
-        Event::kBrRetired,     Event::kBrMispred,
-        Event::kFetchStallCycles, Event::kRatStallCycles,
-        Event::kLoadBufStallCycles, Event::kStoreBufStallCycles,
-        Event::kRsFullStallCycles,  Event::kRobFullStallCycles,
-    };
-    for (Event e : both_modes)
-        events.push_back({e, true, true});
-    // Kernel-only retired instructions for the Figure 4 breakdown.
-    events.push_back({Event::kInstRetired, false, true});
-    return events;
+    return make_report(workload, core.stats());
 }
 
 }  // namespace dcb::cpu

@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Perf-like counter collection and derived metrics.
+ * Derived metrics: the one derivation of every report from CoreStats.
  *
  * The paper derives every reported figure from raw counter values; this
  * header defines the same derivations: IPC (Figure 3), user/kernel
@@ -16,10 +16,8 @@
 
 #include <array>
 #include <string>
-#include <vector>
 
 #include "cpu/core.h"
-#include "cpu/pmu.h"
 
 namespace dcb::cpu {
 
@@ -103,22 +101,15 @@ struct CounterReport
 /** Read one ReportMetric's value out of a report. */
 double report_metric(const CounterReport& r, ReportMetric m);
 
+/**
+ * Derive every report metric from one counter record: the whole run's
+ * totals, one window's deltas or a sum of windows.
+ */
+CounterReport make_report(const std::string& workload,
+                          const CoreStats& stats);
+
 /** Build a report from a core's always-on counters. */
 CounterReport make_report(const std::string& workload, const Core& core);
-
-/**
- * Build the same report from multiplexed PMU readings produced by a
- * session configured with default_event_set(). This path exercises the
- * paper's actual methodology (limited counters, perf-style scaling).
- */
-CounterReport make_report_from_pmu(const std::string& workload,
-                                   const Core& core);
-
-/**
- * The ~20-event collection set the paper programs (Section III-D),
- * packed into multiplexable groups of four.
- */
-std::vector<EventSelect> default_event_set();
 
 /** Compute the normalized stall breakdown from raw event values. */
 StallBreakdown normalize_stalls(double fetch, double rat, double load,

@@ -412,8 +412,7 @@ shard_launch(Sim& sim, std::uint32_t s, const ShardEvent& ev,
     if (sim.armed)
         api.push(att.start + sim.cfg.task_timeout_factor * nominal,
                  kEvWatchdog, idx);
-    if (sim.cfg.progress_heartbeats)
-        api.push(att.start + sim.cfg.heartbeat_s, kEvProgress, idx);
+    api.push(att.start + sim.cfg.heartbeat_s, kEvProgress, idx);
     sh.attempts.push_back(att);
     nd.running.push_back(idx);
 }

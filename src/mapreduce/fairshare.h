@@ -94,9 +94,6 @@ struct FairShareConfig
      * co-located jobs queue FIFO on this shared link.
      */
     double uplink_oversubscription = 4.0;
-    /** Model per-attempt progress heartbeats (Hadoop task reporting);
-        their count per shard is part of the deterministic result. */
-    bool progress_heartbeats = true;
 };
 
 /** Empty when the config is runnable, else a clear error. */
@@ -205,7 +202,7 @@ struct MultiJobResult
      * Canonical text rendering of every deterministic field (%.17g
      * doubles, host timings excluded). Serial, sharded and replayed
      * runs of the same input must produce byte-identical dumps; the
-     * bit-identity tests and the CI cluster-guard diff exactly this.
+     * bit-identity tests and perfbench's dump checks diff exactly this.
      */
     std::string dump() const;
 };

@@ -45,8 +45,6 @@ struct TelemetryConfig
      * in memory only (tests, programmatic consumers).
      */
     std::string out_path;
-    bool write_csv = true;
-    bool write_json = true;
     /**
      * Rows buffered per columnar extent before spilling to
      * `<out_path><name>.telemetry.dcx`; runs shorter than one extent

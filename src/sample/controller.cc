@@ -22,31 +22,16 @@ namespace {
  * standard error is 0 too.
  */
 std::array<double, cpu::kReportMetricCount>
-window_metrics(const cpu::WindowSample& w)
+window_metrics(const cpu::CounterReport& w)
 {
-    using cpu::Event;
     using cpu::ReportMetric;
-    auto get = [&w](Event e) {
-        return w.events[static_cast<std::size_t>(e)];
-    };
     std::array<double, cpu::kReportMetricCount> m{};
-    auto set = [&m](ReportMetric r, double v) {
-        m[static_cast<std::size_t>(r)] = v;
-    };
-
-    const double instr = get(Event::kInstRetired);
-    const double cycles = get(Event::kCycles);
-    set(ReportMetric::kIpc, cycles > 0.0 ? instr / cycles : 0.0);
-    const cpu::StallBreakdown stalls = cpu::normalize_stalls(
-        get(Event::kFetchStallCycles), get(Event::kRatStallCycles),
-        get(Event::kLoadBufStallCycles), get(Event::kStoreBufStallCycles),
-        get(Event::kRsFullStallCycles), get(Event::kRobFullStallCycles));
-    set(ReportMetric::kStallFetch, stalls.fetch);
-    set(ReportMetric::kStallRat, stalls.rat);
-    set(ReportMetric::kStallLoad, stalls.load);
-    set(ReportMetric::kStallStore, stalls.store);
-    set(ReportMetric::kStallRs, stalls.rs);
-    set(ReportMetric::kStallRob, stalls.rob);
+    for (const ReportMetric timing :
+         {ReportMetric::kIpc, ReportMetric::kStallFetch,
+          ReportMetric::kStallRat, ReportMetric::kStallLoad,
+          ReportMetric::kStallStore, ReportMetric::kStallRs,
+          ReportMetric::kStallRob})
+        m[static_cast<std::size_t>(timing)] = cpu::report_metric(w, timing);
     return m;
 }
 
@@ -59,11 +44,6 @@ SamplingController::make_report(const std::string& workload,
     DCB_EXPECTS(layout_.sampled);
     using cpu::Event;
 
-    cpu::CounterReport r;
-    r.workload = workload;
-    r.sampled = true;
-    r.sample_windows = core.sample_windows().size();
-
     // The timing point estimates are ratios of event totals summed over
     // every detailed window -- the exact-mode formulas applied to the
     // covered ops. Windows are equal-instruction, so a plain mean of
@@ -75,67 +55,46 @@ SamplingController::make_report(const std::string& workload,
     // standard error reports the across-window dispersion of each
     // metric, the sampling error bar alongside the estimate.
     IntervalEstimator estimator(cpu::kReportMetricCount);
-    std::array<double, cpu::kEventCount> sum{};
-    for (const cpu::WindowSample& w : core.sample_windows()) {
-        estimator.add_window(window_metrics(w).data());
-        for (std::size_t i = 0; i < cpu::kEventCount; ++i)
-            sum[i] += w.events[i];
-    }
-    auto total = [&sum](Event e) {
-        return sum[static_cast<std::size_t>(e)];
-    };
-    if (estimator.windows() > 0) {
-        const double instr = total(Event::kInstRetired);
-        const double cycles = total(Event::kCycles);
-        r.ipc = cycles > 0.0 ? instr / cycles : 0.0;
-        r.stalls = cpu::normalize_stalls(
-            total(Event::kFetchStallCycles),
-            total(Event::kRatStallCycles),
-            total(Event::kLoadBufStallCycles),
-            total(Event::kStoreBufStallCycles),
-            total(Event::kRsFullStallCycles),
-            total(Event::kRobFullStallCycles));
-        for (std::size_t i = 0; i < cpu::kReportMetricCount; ++i)
-            r.metric_stderr[i] = estimator.standard_error(i);
+    cpu::CoreStats window_sum;
+    for (const cpu::CoreStats& w : core.sample_windows()) {
+        estimator.add_window(
+            window_metrics(cpu::make_report(workload, w)).data());
+        window_sum += w;
     }
 
     // Totals: the producer accounts every represented op whether it was
     // warmed or simulated, so the instruction totals -- and with them
-    // the kernel-mode fraction -- are exact by construction.
-    const cpu::CoreStats& stats = core.stats();
-    const double total_instr =
-        stats.get(Event::kInstRetired) +
-        static_cast<double>(core.warm_user_ops() +
-                            core.warm_kernel_ops());
-    r.instructions = total_instr;
-    r.cycles = r.ipc > 0.0 ? total_instr / r.ipc : 0.0;
-    const double kernel_instr =
-        stats.kernel_instructions +
-        static_cast<double>(core.warm_kernel_ops());
-    r.kernel_instr_fraction =
-        total_instr > 0.0 ? kernel_instr / total_instr : 0.0;
-
-    // The warm path notes the same demand events (misses, walks,
-    // branches) the timed path does, so the event totals cover the
-    // *entire* post-reset stream and the rate metrics follow the
-    // exact-mode formulas over the exact-mode coverage -- near-exact by
+    // the kernel-mode fraction -- are exact by construction. The warm
+    // path notes the same demand events (misses, walks, branches) the
+    // timed path does, so the event totals cover the *entire*
+    // post-reset stream and the rate metrics follow the exact-mode
+    // formulas over the exact-mode coverage -- near-exact by
     // construction rather than window-extrapolated, with no sampling
     // error bar. Rare events (e.g. ITLB walks at ~0.5 per kilo-op) make
     // this the only way to bound their error at small window budgets.
-    if (total_instr > 0.0) {
-        const double kilo_instr = total_instr / 1000.0;
-        r.l1i_mpki = stats.get(Event::kL1IMiss) / kilo_instr;
-        r.itlb_walk_pki = stats.get(Event::kITlbWalk) / kilo_instr;
-        r.l2_mpki = stats.get(Event::kL2Miss) / kilo_instr;
-        r.dtlb_walk_pki = stats.get(Event::kDTlbWalk) / kilo_instr;
+    cpu::CoreStats totals = core.stats();
+    totals.add(Event::kInstRetired,
+               static_cast<double>(core.warm_user_ops() +
+                                   core.warm_kernel_ops()));
+    totals.kernel_instructions +=
+        static_cast<double>(core.warm_kernel_ops());
+    cpu::CounterReport r = cpu::make_report(workload, totals);
+    r.sampled = true;
+    r.sample_windows = core.sample_windows().size();
+
+    // Timing: the window sum's IPC and stall shares; a run with no
+    // windows reports 0.
+    r.ipc = 0.0;
+    r.stalls = {};
+    if (estimator.windows() > 0) {
+        const cpu::CounterReport timing =
+            cpu::make_report(workload, window_sum);
+        r.ipc = timing.ipc;
+        r.stalls = timing.stalls;
+        for (std::size_t i = 0; i < cpu::kReportMetricCount; ++i)
+            r.metric_stderr[i] = estimator.standard_error(i);
     }
-    const double l2_miss = stats.get(Event::kL2Miss);
-    if (l2_miss > 0.0)
-        r.l3_service_ratio = (l2_miss - stats.get(Event::kL3Miss)) / l2_miss;
-    const double branches = stats.get(Event::kBrRetired);
-    if (branches > 0.0)
-        r.branch_misprediction_ratio =
-            stats.get(Event::kBrMispred) / branches;
+    r.cycles = r.ipc > 0.0 ? r.instructions / r.ipc : 0.0;
     return r;
 }
 

@@ -12,8 +12,8 @@
  * measurement windows goes through functional warming, which keeps the
  * long-lived microarchitectural state (cache tags, TLBs, branch
  * predictor tables, page table) as current as an exact run's. The
- * expensive timing model (stall attribution, ROB/RS/LSQ occupancy, PMU
- * accounting) only runs inside the windows, and the timing metrics are
+ * expensive timing model (stall attribution, ROB/RS/LSQ occupancy, timing
+ * events) only runs inside the windows, and the timing metrics are
  * extrapolated from the window measurements with a per-metric standard
  * error.
  *

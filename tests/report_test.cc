@@ -69,20 +69,6 @@ TEST(Harness, BenchConfigIsPaperMethodology)
     // Table III machine.
     EXPECT_EQ(config.memory_config.l3.size_bytes, 12u << 20);
     EXPECT_EQ(config.core_config.rob_entries, 128u);
-    EXPECT_FALSE(config.use_pmu);
-}
-
-TEST(Harness, PmuPathProducesComparableReport)
-{
-    HarnessConfig direct;
-    direct.run.op_budget = 300'000;
-    direct.run.warmup_ops = 0;
-    HarnessConfig pmu = direct;
-    pmu.use_pmu = true;
-    const auto a = run_workload("K-means", direct).report;
-    const auto b = run_workload("K-means", pmu).report;
-    EXPECT_NEAR(a.ipc, b.ipc, a.ipc * 0.05);
-    EXPECT_NEAR(a.l1i_mpki, b.l1i_mpki, a.l1i_mpki * 0.5 + 1.0);
 }
 
 TEST(Harness, UnknownWorkloadIsARecoverableError)

@@ -425,19 +425,12 @@ TEST(SampledRun, FullWarmingTracksExactMode)
 }
 
 /**
- * Pins the sampled path bit for bit: an FNV-1a hash over every
- * CounterReport field (stderr bars and window counts included) of
- * full-warming runs of one workload per category. Any change to the
- * schedule, its RNG draws, the warm paths or the report assembly shows
- * up here, not only a change large enough to break a tolerance.
+ * FNV-1a hash over every CounterReport field (stderr bars and window
+ * counts included) of one workload per category, run under `config`.
  */
-TEST(SampledRun, FullWarmingGoldenHash)
+std::uint64_t
+report_hash(const core::HarnessConfig& config)
 {
-    core::HarnessConfig config;
-    config.run.op_budget = 300'000;
-    config.run.warmup_ops = 75'000;
-    config.sampling.ratio = 0.15;
-
     std::uint64_t h = 0xcbf29ce484222325ULL;
     auto mix = [&h](std::uint64_t v) {
         h ^= v;
@@ -451,7 +444,7 @@ TEST(SampledRun, FullWarmingGoldenHash)
     for (const char* name : {"WordCount", "Media Streaming", "SPECINT",
                              "HPCC-RandomAccess"}) {
         const core::RunResult run = core::run_workload(name, config);
-        ASSERT_TRUE(run.status.ok) << name;
+        EXPECT_TRUE(run.status.ok) << name;
         const cpu::CounterReport& r = run.report;
         for (const char c : r.workload)
             mix(static_cast<unsigned char>(c));
@@ -467,9 +460,40 @@ TEST(SampledRun, FullWarmingGoldenHash)
         for (const double v : r.metric_stderr)
             mix_double(v);
     }
+    return h;
+}
+
+/** The golden runs: 300k ops after a 75k-op ramp-up discard. */
+core::HarnessConfig
+golden_config()
+{
+    core::HarnessConfig config;
+    config.run.op_budget = 300'000;
+    config.run.warmup_ops = 75'000;
+    return config;
+}
+
+/**
+ * Pins the sampled path bit for bit: any change to the schedule, its
+ * RNG draws, the warm paths or the report assembly shows up here, not
+ * only a change large enough to break a tolerance.
+ */
+TEST(SampledRun, FullWarmingGoldenHash)
+{
+    core::HarnessConfig config = golden_config();
+    config.sampling.ratio = 0.15;
     // Computed when a second, skipping warming mode still existed; the
     // one-mode engine must reproduce it exactly.
-    EXPECT_EQ(h, 0x4a3537b38a020366ULL);
+    EXPECT_EQ(report_hash(config), 0x4a3537b38a020366ULL);
+}
+
+/**
+ * Pins exact-mode reports bit for bit over the same runs, unsampled
+ * (the figure CSVs pin them only after rounding).
+ */
+TEST(ExactRun, GoldenHash)
+{
+    EXPECT_EQ(report_hash(golden_config()), 0x1df640288649df06ULL);
 }
 
 /**
