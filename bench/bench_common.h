@@ -20,12 +20,12 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +33,7 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
+#include "util/string_util.h"
 
 namespace dcb::bench {
 
@@ -158,27 +159,14 @@ usage_error(const char* why, const char* token)
     std::exit(2);
 }
 
-/** True when `text` is a nonempty run of decimal digits. */
-inline bool
-all_digits(const char* text)
-{
-    if (*text == '\0')
-        return false;
-    for (; *text != '\0'; ++text)
-        if (*text < '0' || *text > '9')
-            return false;
-    return true;
-}
-
 /** `text` as a count for `flag`; exits 2 unless it parses completely. */
 inline std::uint64_t
 parse_count(const char* flag, const char* text)
 {
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, nullptr, 10);
-    if (!all_digits(text) || errno == ERANGE)
+    const std::optional<std::uint64_t> v = util::parse_count(text);
+    if (!v)
         usage_error("value is not a whole number", flag);
-    return v;
+    return *v;
 }
 
 /**
@@ -189,7 +177,7 @@ inline std::uint64_t
 budget_from_args(int argc, char** argv, std::uint64_t fallback)
 {
     for (int i = 1; i < argc; ++i)
-        if (i > 1 || !all_digits(argv[i]))
+        if (i > 1 || !util::parse_count(argv[i]))
             usage_error("unexpected argument (the only argument is the "
                         "all-digit op budget)",
                         argv[i]);
@@ -307,7 +295,7 @@ config_from_args(int argc, char** argv)
             sinks.manifest_path = v;
         } else if (std::strncmp(arg, "--", 2) == 0) {
             usage_error("unknown flag or missing value", arg);
-        } else if (budget_seen || !all_digits(arg)) {
+        } else if (budget_seen || !util::parse_count(arg)) {
             usage_error("unexpected argument (the op budget is one "
                         "all-digit token)",
                         arg);

@@ -58,6 +58,43 @@ BM_HierarchyDataAccess(benchmark::State& state)
 BENCHMARK(BM_HierarchyDataAccess);
 
 void
+BM_L3SetWalk(benchmark::State& state)
+{
+    // The Table III L3 (12 MB, 16-way, 12288 sets) at random lines over
+    // 4x its capacity: nearly every access walks a full set and evicts.
+    mem::SetAssocCache cache(mem::westmere_memory_config().l3,
+                             mem::Replacement::kLru);
+    util::Rng rng(8);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(cache.access(rng.next_below(48 << 20)));
+}
+BENCHMARK(BM_L3SetWalk);
+
+void
+BM_HierarchyStridePrefetch(benchmark::State& state)
+{
+    // One stride stream per 4 KB page, pages scattered over 256 MB: the
+    // prefetcher locks on each stream and every access then emits up
+    // to four prefetch targets, each an L1D/L2/L3 fill decision. The
+    // stride cycles through 8, 24, 64 and 136 bytes from page to page.
+    mem::CacheHierarchy hierarchy(mem::westmere_memory_config());
+    static constexpr std::uint64_t kStrides[] = {8, 24, 64, 136};
+    const auto page_base = [](std::uint64_t page) {
+        return (page * 0x9E3779B97F4A7C15ull) & ((256ull << 20) - 1) &
+               ~std::uint64_t{4095};
+    };
+    std::uint64_t page = 0;
+    std::uint64_t addr = page_base(page);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(hierarchy.data_access(addr, false));
+        addr += kStrides[page & 3];
+        if (addr - page_base(page) >= 4096)
+            addr = page_base(++page);
+    }
+}
+BENCHMARK(BM_HierarchyStridePrefetch);
+
+void
 BM_ZipfSample(benchmark::State& state)
 {
     util::Rng rng(3);

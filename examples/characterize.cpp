@@ -1,6 +1,6 @@
 /**
  * @file
- * Full-suite characterization: run all 27 workloads (or a category) and
+ * Full-suite characterization: run all 26 workloads (or a category) and
  * print the complete per-workload metric matrix plus the class averages
  * the paper states in its findings.
  *
@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/dcbench.h"
@@ -22,8 +21,15 @@ main(int argc, char** argv)
     using dcb::util::format_double;
 
     dcb::core::HarnessConfig config = dcb::core::bench_config();
-    if (argc > 1)
-        config.run.op_budget = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 1) {
+        const auto budget = dcb::util::parse_count(argv[1]);
+        if (!budget) {
+            std::fprintf(stderr, "error: op budget is not a whole number: "
+                                 "%s\n", argv[1]);
+            return 2;
+        }
+        config.run.op_budget = *budget;
+    }
     const std::string category = argc > 2 ? argv[2] : "all";
 
     std::vector<std::string> names;

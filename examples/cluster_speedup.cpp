@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/dcbench.h"
@@ -50,8 +49,18 @@ int
 main(int argc, char** argv)
 {
     const std::string which = argc > 1 ? argv[1] : "all";
-    const std::uint32_t max_slaves =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 16;
+    // The sweep doubles a 32-bit slave count up to max-slaves, so the
+    // bound keeps it from wrapping.
+    std::uint32_t max_slaves = 16;
+    if (argc > 2) {
+        const auto parsed = dcb::util::parse_count(argv[2]);
+        if (!parsed || *parsed == 0 || *parsed > (1u << 20)) {
+            std::fprintf(stderr, "error: max-slaves is not a whole number "
+                                 "in 1..1048576: %s\n", argv[2]);
+            return 2;
+        }
+        max_slaves = static_cast<std::uint32_t>(*parsed);
+    }
 
     for (const auto& name : dcb::workloads::data_analysis_names()) {
         if (which != "all" && which != name)

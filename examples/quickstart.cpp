@@ -7,18 +7,25 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/dcbench.h"
+#include "util/string_util.h"
 
 int
 main(int argc, char** argv)
 {
     const std::string name = argc > 1 ? argv[1] : "WordCount";
     dcb::core::HarnessConfig config = dcb::core::bench_config();
-    if (argc > 2)
-        config.run.op_budget = std::strtoull(argv[2], nullptr, 10);
+    if (argc > 2) {
+        const auto budget = dcb::util::parse_count(argv[2]);
+        if (!budget) {
+            std::fprintf(stderr, "error: op budget is not a whole number: "
+                                 "%s\n", argv[2]);
+            return 2;
+        }
+        config.run.op_budget = *budget;
+    }
 
     auto workload = dcb::workloads::make_workload(name);
     if (!workload) {

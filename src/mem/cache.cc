@@ -1,5 +1,6 @@
 #include "mem/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/assert.h"
@@ -8,15 +9,18 @@ namespace dcb::mem {
 
 SetAssocCache::SetAssocCache(const CacheGeometry& geometry,
                              Replacement policy, std::uint64_t rng_seed)
-    : geometry_(geometry), policy_(policy),
+    : geometry_(geometry), policy_(policy), ways_(geometry.ways),
       line_shift_(std::countr_zero(geometry.line_bytes)),
       num_sets_(geometry.num_sets()),
       pow2_sets_(std::has_single_bit(geometry.num_sets())),
-      set_div_(geometry.num_sets()), lines_(geometry.num_lines()),
-      rng_(rng_seed)
+      set_div_(geometry.num_sets()),
+      tags_(geometry.num_sets() * geometry.ways, kInvalidTag),
+      lru_(geometry.num_sets() * geometry.ways, 0), rng_(rng_seed)
 {
     DCB_EXPECTS(std::has_single_bit(
         static_cast<std::uint64_t>(geometry.line_bytes)));
+    // A line shift of at least one keeps every tag below kInvalidTag.
+    DCB_EXPECTS(line_shift_ >= 1);
     DCB_EXPECTS(num_sets_ >= 1);
     if (pow2_sets_) {
         set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
@@ -44,123 +48,133 @@ SetAssocCache::tag_of(std::uint64_t line_addr) const
                       : set_div_.quot(line_addr);
 }
 
-SetAssocCache::Line*
-SetAssocCache::find_line(std::uint64_t set, std::uint64_t tag)
+std::uint32_t
+SetAssocCache::find_way(std::uint64_t set, std::uint64_t tag) const
 {
-    Line* base = &lines_[set * geometry_.ways];
-    for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
+    // A compare and a conditional move per way, with no data-dependent
+    // branch. Walking down from the last way leaves the lowest matching
+    // way, the one an early-exit walk would stop at (only invalid ways
+    // share a tag); kNoWay when no way matches.
+    const std::uint64_t* tags = &tags_[set * ways_];
+    std::uint32_t way = kNoWay;
+    for (std::uint32_t w = ways_; w-- > 0;)
+        way = tags[w] == tag ? w : way;
+    return way;
 }
 
-SetAssocCache::Line*
-SetAssocCache::find(std::uint64_t addr)
+std::uint32_t
+SetAssocCache::lru_way(std::uint64_t set) const
 {
-    const std::uint64_t line_addr = addr >> line_shift_;
-    return find_line(set_index(line_addr), tag_of(line_addr));
-}
-
-const SetAssocCache::Line*
-SetAssocCache::find(std::uint64_t addr) const
-{
-    return const_cast<SetAssocCache*>(this)->find(addr);
-}
-
-SetAssocCache::Line*
-SetAssocCache::pick_victim(std::uint64_t set)
-{
-    Line* base = &lines_[set * geometry_.ways];
-    Line* victim = base;
-    if (policy_ == Replacement::kRandom) {
-        // Prefer an invalid way; otherwise evict at random.
-        for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-            if (!base[w].valid)
-                return &base[w];
-        }
-        return &base[rng_.next_below(geometry_.ways)];
-    }
-    for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-        if (!base[w].valid)
-            return &base[w];
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
+    // The first way with the smallest stamp: the first invalid way
+    // (stamp 0) if there is one, else the least recently used.
+    const std::uint64_t* lru = &lru_[set * ways_];
+    std::uint64_t oldest = lru[0];
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+        const bool older = lru[w] < oldest;
+        oldest = older ? lru[w] : oldest;
+        victim = older ? w : victim;
     }
     return victim;
+}
+
+std::uint32_t
+SetAssocCache::pick_victim(std::uint64_t set)
+{
+    if (policy_ == Replacement::kRandom) {
+        // Prefer an invalid way; otherwise evict at random.
+        const std::uint32_t invalid = find_way(set, kInvalidTag);
+        return invalid != kNoWay
+                   ? invalid
+                   : static_cast<std::uint32_t>(rng_.next_below(ways_));
+    }
+    return lru_way(set);
+}
+
+void
+SetAssocCache::install(std::uint64_t set, std::uint32_t way,
+                       std::uint64_t tag)
+{
+    tags_[set * ways_ + way] = tag;
+    lru_[set * ways_ + way] = stamp_;
 }
 
 bool
 SetAssocCache::access_slow(std::uint64_t line_addr)
 {
     ++stamp_;
+    memo_addr_ = line_addr;
     const std::uint64_t set = set_index(line_addr);
     const std::uint64_t tag = tag_of(line_addr);
-    if (Line* line = find_line(set, tag)) {
-        line->lru = stamp_;
+    const std::uint32_t way = find_way(set, tag);
+    if (way != kNoWay) {
+        lru_[set * ways_ + way] = stamp_;
         ++hits_;
-        memo_line_ = line;
-        memo_line_addr_ = line_addr;
         return true;
     }
     ++misses_;
-    Line* victim = pick_victim(set);
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = stamp_;
-    memo_line_ = victim;
-    memo_line_addr_ = line_addr;
+    install(set, pick_victim(set), tag);
     return false;
 }
 
 bool
 SetAssocCache::probe(std::uint64_t addr) const
 {
-    return find(addr) != nullptr;
+    const std::uint64_t line_addr = addr >> line_shift_;
+    return find_way(set_index(line_addr), tag_of(line_addr)) != kNoWay;
 }
 
-void
+bool
 SetAssocCache::fill(std::uint64_t addr)
 {
-    memo_line_ = nullptr;  // the fill may evict the memoized line
+    memo_addr_ = kInvalidTag;  // the fill may evict or outrank the memo
     ++stamp_;
     const std::uint64_t line_addr = addr >> line_shift_;
     const std::uint64_t set = set_index(line_addr);
     const std::uint64_t tag = tag_of(line_addr);
-    if (Line* line = find_line(set, tag)) {
-        line->lru = stamp_;
-        return;
+    const std::uint32_t way = find_way(set, tag);
+    if (way != kNoWay) {
+        lru_[set * ways_ + way] = stamp_;
+        return false;
     }
     // Prefetch fills always evict LRU, independent of the demand policy.
-    Line* base = &lines_[set * geometry_.ways];
-    Line* victim = base;
-    for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = stamp_;
+    install(set, lru_way(set), tag);
+    return true;
+}
+
+bool
+SetAssocCache::fill_if_absent(std::uint64_t addr)
+{
+    const std::uint64_t line_addr = addr >> line_shift_;
+    const std::uint64_t set = set_index(line_addr);
+    const std::uint64_t tag = tag_of(line_addr);
+    if (find_way(set, tag) != kNoWay)
+        return false;
+    memo_addr_ = kInvalidTag;
+    ++stamp_;
+    install(set, lru_way(set), tag);
+    return true;
 }
 
 void
 SetAssocCache::invalidate(std::uint64_t addr)
 {
-    memo_line_ = nullptr;
-    if (Line* line = find(addr))
-        line->valid = false;
+    memo_addr_ = kInvalidTag;
+    const std::uint64_t line_addr = addr >> line_shift_;
+    const std::uint64_t set = set_index(line_addr);
+    const std::uint32_t way = find_way(set, tag_of(line_addr));
+    if (way != kNoWay) {
+        tags_[set * ways_ + way] = kInvalidTag;
+        lru_[set * ways_ + way] = 0;
+    }
 }
 
 void
 SetAssocCache::flush()
 {
-    memo_line_ = nullptr;
-    for (auto& line : lines_)
-        line.valid = false;
+    memo_addr_ = kInvalidTag;
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(lru_.begin(), lru_.end(), 0);
     stamp_ = 0;
 }
 

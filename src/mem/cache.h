@@ -36,18 +36,19 @@ class SetAssocCache
      *
      * Consecutive accesses to the same line (sequential instruction
      * fetch, page-granular TLB lookups) take an inline fast path that
-     * replays exactly the hit-path state updates without the set walk.
+     * only counts the hit. The memoized line is the one the last slow
+     * access touched, and every call that stamps or drops any other
+     * line (fill, fill_if_absent, invalidate, flush) also drops the
+     * memo; so while the memo is set its line holds the newest stamp in
+     * the whole cache. Re-stamping it would move no line's rank in the
+     * recency order and so could change no victim choice; the hit skips
+     * the stamp and the LRU write.
      */
     bool access(std::uint64_t addr)
     {
         const std::uint64_t line_addr = addr >> line_shift_;
-        if (line_addr == memo_line_addr_ && memo_line_ != nullptr) {
-            // The memoized line was the last one touched, so it is still
-            // resident: only fill/invalidate/flush (which drop the memo)
-            // or a demand eviction (which rewrites it) can displace it.
-            ++stamp_;
+        if (line_addr == memo_addr_) {
             ++hits_;
-            memo_line_->lru = stamp_;
             return true;
         }
         return access_slow(line_addr);
@@ -60,8 +61,16 @@ class SetAssocCache
      * Insert a line without touching the demand hit/miss counters
      * (prefetch fill). An already-present line only has its recency
      * refreshed.
+     * @return true when the line was absent (and is now inserted).
      */
-    void fill(std::uint64_t addr);
+    bool fill(std::uint64_t addr);
+
+    /**
+     * Insert a line that is absent, as fill() does; leave a present
+     * line, its recency included, untouched.
+     * @return true when the line was inserted.
+     */
+    bool fill_if_absent(std::uint64_t addr);
 
     /** Invalidate a single line if present. */
     void invalidate(std::uint64_t addr);
@@ -81,23 +90,26 @@ class SetAssocCache
     const CacheGeometry& geometry() const { return geometry_; }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0;  ///< last-touch stamp (LRU policy)
-        bool valid = false;
-    };
+    /**
+     * Tag of an invalid way. A line address is a byte address shifted
+     * right by at least one bit, and a tag is at most its line address,
+     * so no real tag (nor line address) equals it.
+     */
+    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
+    /** find_way() result for an absent tag. */
+    static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
 
     std::uint64_t set_index(std::uint64_t line_addr) const;
     std::uint64_t tag_of(std::uint64_t line_addr) const;
-    Line* find(std::uint64_t addr);
-    const Line* find(std::uint64_t addr) const;
-    Line* find_line(std::uint64_t set, std::uint64_t tag);
-    Line* pick_victim(std::uint64_t set);
+    std::uint32_t find_way(std::uint64_t set, std::uint64_t tag) const;
+    std::uint32_t lru_way(std::uint64_t set) const;
+    std::uint32_t pick_victim(std::uint64_t set);
+    void install(std::uint64_t set, std::uint32_t way, std::uint64_t tag);
     bool access_slow(std::uint64_t line_addr);
 
     CacheGeometry geometry_;
     Replacement policy_;
+    std::uint32_t ways_;
     std::uint32_t line_shift_;
     std::uint64_t num_sets_;
     /**
@@ -111,10 +123,17 @@ class SetAssocCache
     /** Reciprocal divmod for the non-pow2 fallback (12288-set L3):
         same index/tag as `%` and `/` without the per-access divide. */
     util::FastDiv set_div_;
-    std::vector<Line> lines_;  ///< sets * ways, row-major by set
-    /** Last line touched by access(); lines_ never reallocates. */
-    Line* memo_line_ = nullptr;
-    std::uint64_t memo_line_addr_ = ~std::uint64_t{0};
+    /**
+     * The tag store: two parallel arrays of sets * ways entries,
+     * row-major by set, so a set walk reads one contiguous run of tags
+     * (128 B for a 16-way set) and, on a miss, one of stamps. An invalid
+     * way holds kInvalidTag and stamp 0; a valid way holds a stamp of at
+     * least 1, unique since the last flush.
+     */
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> lru_;  ///< last-touch stamp (LRU policy)
+    /** Line address of the last slow access; kInvalidTag when none. */
+    std::uint64_t memo_addr_ = kInvalidTag;
     std::uint64_t stamp_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

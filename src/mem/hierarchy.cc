@@ -1,5 +1,7 @@
 #include "mem/hierarchy.h"
 
+#include <bit>
+
 namespace dcb::mem {
 
 CacheHierarchy::CacheHierarchy(const MemoryConfig& config)
@@ -19,13 +21,22 @@ CacheHierarchy::prefetch_data(std::uint64_t addr)
 {
     std::uint64_t targets[StridePrefetcher::kMaxPrefetches];
     const std::uint32_t n = data_prefetcher_.observe(addr, targets);
+    // Targets run monotonically away from the demand address. One on
+    // the demand line, or on the previous target's line, is resident in
+    // the L1D by construction (that line was just accessed or placed,
+    // and no L1D fill came since), so its lookup is skipped.
+    const auto line_shift =
+        static_cast<std::uint32_t>(std::countr_zero(config_.l1d.line_bytes));
+    std::uint64_t last_line = addr >> line_shift;
     for (std::uint32_t i = 0; i < n; ++i) {
-        if (!l1d_.probe(targets[i])) {
-            if (!l3_.probe(targets[i]))
-                ++prefetch_memory_fills_;
-            l1d_.fill(targets[i]);
+        const std::uint64_t line = targets[i] >> line_shift;
+        if (line == last_line)
+            continue;
+        last_line = line;
+        if (l1d_.fill_if_absent(targets[i])) {
             l2_.fill(targets[i]);
-            l3_.fill(targets[i]);
+            if (l3_.fill(targets[i]))
+                ++prefetch_memory_fills_;
             ++prefetch_fills_;
         }
     }
@@ -57,8 +68,7 @@ CacheHierarchy::fetch_miss(std::uint64_t addr)
     if (config_.enable_insn_prefetch) {
         // Next-line instruction prefetch: sequential fetch rarely re-misses.
         const std::uint64_t next = addr + config_.l1i.line_bytes;
-        if (!l1i_.probe(next)) {
-            l1i_.fill(next);
+        if (l1i_.fill_if_absent(next)) {
             l2_.fill(next);
             l3_.fill(next);
             ++prefetch_fills_;

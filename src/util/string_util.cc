@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace dcb::util {
@@ -99,6 +100,19 @@ human_bytes(std::uint64_t bytes)
     else
         std::snprintf(buf, sizeof(buf), "%.1f %s", v, kUnits[unit]);
     return buf;
+}
+
+std::optional<std::uint64_t>
+parse_count(std::string_view text)
+{
+    // from_chars takes no sign or space for an unsigned value, fails on
+    // an empty range and reports overflow instead of saturating.
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end)
+        return std::nullopt;
+    return value;
 }
 
 std::string

@@ -8,6 +8,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,13 @@ std::string_view trim(std::string_view text);
 
 /** True if text begins with prefix. */
 bool starts_with(std::string_view text, std::string_view prefix);
+
+/**
+ * A whole decimal count: nullopt unless `text` is a nonempty run of
+ * digits (no sign, space or suffix) whose value fits in 64 bits. The
+ * one parser behind every count given on a command line.
+ */
+std::optional<std::uint64_t> parse_count(std::string_view text);
 
 /** Human-readable byte count, e.g. "1.5 GB". */
 std::string human_bytes(std::uint64_t bytes);

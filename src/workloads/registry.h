@@ -4,7 +4,7 @@
 /**
  * @file
  * Workload registry: lookup by name and the paper's figure ordering for
- * all 27 measured workloads (Figure 3's x-axis).
+ * all 26 measured workloads (Figure 3's x-axis, less its "avg" bar).
  */
 
 #include <memory>

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "mem/hierarchy.h"
 #include "mem/prefetcher.h"
+#include "util/rng.h"
 
 namespace dcb::mem {
 namespace {
@@ -156,6 +159,59 @@ TEST(Hierarchy, InstructionPrefetchNextLine)
     EXPECT_EQ(h.l1i_misses(), 1u);
     h.fetch(0x8040);  // covered by the next-line prefetch
     EXPECT_EQ(h.l1i_misses(), 1u);
+}
+
+/**
+ * Pins the prefetch fill path on its own, apart from the suite golden
+ * hashes: a fixed seeded mix of stride runs (strides below, at and
+ * above the line size, both signs), random accesses and sequential
+ * instruction-fetch runs must leave every counter where a hierarchy
+ * that probes the L1 and the L3 before each prefetch fill leaves it.
+ * Half of each kind stays in a region about the L1's size, so prefetch
+ * targets are often already resident and L1 recency decides later
+ * hits; the other half roams far beyond the L3.
+ */
+TEST(Hierarchy, PrefetchPathCountsArePinned)
+{
+    static constexpr std::int64_t kStrides[] = {8,   16, 24,  48, 64,
+                                                72,  128, 512, -8, -64};
+    CacheHierarchy h(westmere_memory_config());
+    util::Rng rng(20);
+    std::uint64_t latency_sum = 0;
+    for (int run = 0; run < 10000; ++run) {
+        const std::uint64_t kind = rng.next_below(3);
+        const std::uint64_t n = 16 + rng.next_below(112);
+        const std::uint64_t region = rng.next_bool(0.5) ? 48 << 10
+                                                         : 256 << 20;
+        if (kind == 0) {
+            const std::int64_t stride =
+                kStrides[rng.next_below(std::size(kStrides))];
+            std::uint64_t a = (1 << 20) + rng.next_below(region);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                latency_sum += h.data_access(a, rng.next_bool(0.3)).latency;
+                a += static_cast<std::uint64_t>(stride);
+            }
+        } else if (kind == 1) {
+            for (std::uint64_t i = 0; i < n; ++i)
+                latency_sum += h.data_access(rng.next_below(region),
+                                             false).latency;
+        } else {
+            std::uint64_t pc = 0x400000 + (rng.next_below(region) & ~3ull);
+            for (std::uint64_t i = 0; i < n; ++i, pc += 4)
+                latency_sum += h.fetch(pc).latency;
+        }
+    }
+    EXPECT_EQ(h.prefetch_fills(), 145290u);
+    EXPECT_EQ(h.prefetch_memory_fills(), 70323u);
+    EXPECT_EQ(h.l1i_accesses(), 231556u);
+    EXPECT_EQ(h.l1i_misses(), 8285u);
+    EXPECT_EQ(h.l1d_accesses(), 481240u);
+    EXPECT_EQ(h.l1d_misses(), 235353u);
+    EXPECT_EQ(h.l2_accesses(), 243638u);
+    EXPECT_EQ(h.l2_misses(), 164708u);
+    EXPECT_EQ(h.l3_accesses(), 164708u);
+    EXPECT_EQ(h.l3_misses(), 135865u);
+    EXPECT_EQ(latency_sum, 28390724u);
 }
 
 }  // namespace

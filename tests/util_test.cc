@@ -218,6 +218,16 @@ TEST(StringUtil, HumanBytesAndCommas)
     EXPECT_EQ(with_commas(12), "12");
 }
 
+TEST(StringUtil, ParseCountAcceptsOnlyWholeNumbers)
+{
+    EXPECT_EQ(parse_count("0"), 0u);
+    EXPECT_EQ(parse_count("2000000"), 2000000u);
+    EXPECT_EQ(parse_count("18446744073709551615"), ~std::uint64_t{0});
+    for (const char* bad : {"", "abc", "10k", "2M", "-1", "+1", " 1", "1 ",
+                            "1.5", "--ops", "18446744073709551616"})
+        EXPECT_FALSE(parse_count(bad).has_value()) << '"' << bad << '"';
+}
+
 TEST(Table, RendersAllRows)
 {
     Table t({"a", "bb"});
