@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <deque>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "fault/topology.h"
@@ -166,20 +165,33 @@ struct ShardLocal
 enum class TaskStatus : std::uint8_t { kPending, kDelayed, kRunning,
                                        kDone };
 
+/**
+ * One task of the current phase, and the record of its latest attempt.
+ * While the task runs, `node` and `time` say where and when that attempt
+ * was granted, and `live` whether it still runs as far as the master
+ * knows. Once the task is done they say where its output is and when it
+ * finished. A task is never running and done at once, so one pair of
+ * fields serves both.
+ */
 struct TaskState
 {
     TaskStatus status = TaskStatus::kPending;
+    bool backed_up = false;           ///< latest attempt is a backup
+    bool live = false;                ///< latest attempt still runs
     std::uint16_t attempt_no = 0;     ///< launches (incl. killed requeues)
     std::uint16_t attempts_used = 0;  ///< FAILED charges vs max_attempts
-    bool backed_up = false;           ///< latest attempt is a backup
-    std::uint32_t done_node = 0;      ///< where a finished map's output is
-    double done_time = -1.0;
-};
-
-struct RunningRec
-{
     std::uint32_t node = 0;
-    std::uint32_t packed = 0;
+    double time = -1.0;
+};
+static_assert(sizeof(TaskState) == 24);
+
+/** A running attempt that is not its task's latest: the original a
+    speculative backup shadows, kept in its job's twin list. */
+struct AttemptRec
+{
+    std::uint32_t task = 0;
+    std::uint32_t attempt = 0;
+    std::uint32_t node = 0;
     double grant_time = 0.0;
 };
 
@@ -205,6 +217,10 @@ struct JobState
     double phase_start = 0.0;
     std::uint32_t done_in_phase = 0;
     std::vector<TaskState> tasks;  ///< current phase only
+    /** Records of the current phase's running originals whose backup
+        is the task's latest attempt: a handful at a time, so a linear
+        scan finds one. */
+    std::vector<AttemptRec> twins;
     std::deque<std::uint32_t> ready;
     /** Min-heap of (ready_time, task) under std::greater. */
     std::vector<std::pair<double, std::uint32_t>> delayed;
@@ -312,7 +328,7 @@ struct Sim
     std::vector<ShardLocal> shards;  // shard-owned during epochs
     std::vector<JobState> jobs;      // coordinator-owned
     std::vector<NodeMirror> mirror;  // coordinator-owned
-    std::unordered_map<std::uint64_t, RunningRec> running_attempts;
+    std::uint64_t live_attempts = 0;  ///< attempt records, all jobs
     ClusterOutcome out;
     std::uint32_t blacklisted_now = 0;
 
@@ -652,6 +668,7 @@ void
 start_map_phase(Sim& sim, std::uint32_t j, double now)
 {
     JobState& job = sim.jobs[j];
+    DCB_EXPECTS(job.running == 0 && job.twins.empty());
     job.in_reduce = false;
     job.shuffle_ready = 0.0;
     job.done_in_phase = 0;
@@ -677,6 +694,7 @@ start_reduce_phase(Sim& sim, std::uint32_t j, double now)
                             910000 + j, job.phase_start * 1e6,
                             (now - job.phase_start) * 1e6);
     }
+    DCB_EXPECTS(job.running == 0 && job.twins.empty());
     job.in_reduce = true;
     job.done_in_phase = 0;
     job.phase_start = now;
@@ -734,36 +752,104 @@ release_slot(Sim& sim, std::uint32_t node, bool is_reduce)
     }
 }
 
+/** The d-field of the launch of `attempt` of `task` on `node` in the
+    job's current phase. */
+std::uint32_t
+launch_packed(const Sim& sim, const JobState& job, std::uint32_t task,
+              std::uint32_t attempt, std::uint32_t node)
+{
+    const bool remote = !job.in_reduce &&
+                        sim.topo.rack_of(node) != task % sim.topo.racks();
+    return pack_attempt(attempt, job.iter,
+                        (job.in_reduce ? kFlagReduce : 0u) |
+                            (remote ? kFlagRemote : 0u));
+}
+
+std::vector<AttemptRec>::iterator
+find_twin(JobState& job, std::uint32_t task, std::uint32_t attempt)
+{
+    return std::find_if(job.twins.begin(), job.twins.end(),
+                        [task, attempt](const AttemptRec& rec) {
+                            return rec.task == task &&
+                                   rec.attempt == attempt;
+                        });
+}
+
+/** Drop the record of attempt `attempt` of `task` into `rec`; false
+    when the attempt has none (it no longer runs). */
+bool
+take_record(JobState& job, std::uint32_t task, std::uint32_t attempt,
+            AttemptRec* rec)
+{
+    TaskState& ts = job.tasks[task];
+    if (attempt == ts.attempt_no) {
+        if (!ts.live)
+            return false;
+        ts.live = false;
+        *rec = {task, attempt, ts.node, ts.time};
+        return true;
+    }
+    const auto it = find_twin(job, task, attempt);
+    if (it == job.twins.end())
+        return false;
+    *rec = *it;
+    *it = job.twins.back();
+    job.twins.pop_back();
+    return true;
+}
+
+/**
+ * The other copy of attempt `attempt` of a backed-up task. A task
+ * launches nothing while a copy is live except its one backup, so its
+ * live copies are always its latest attempt and, when that is a backup,
+ * the attempt before it.
+ */
+std::uint32_t
+other_copy(const TaskState& ts, std::uint32_t attempt)
+{
+    return attempt == ts.attempt_no ? attempt - 1 : ts.attempt_no;
+}
+
+/** Whether the other copy of attempt `attempt` of `task` still runs.
+    Tasks never backed up skip the lookup. */
+bool
+twin_running(JobState& job, std::uint32_t task, std::uint32_t attempt)
+{
+    const TaskState& ts = job.tasks[task];
+    if (!ts.backed_up)
+        return false;
+    if (attempt != ts.attempt_no)
+        return ts.live;  // the other copy is the latest
+    return find_twin(job, task, attempt - 1) != job.twins.end();
+}
+
 /**
  * Shared cleanup for every terminal message: drop the attempt record,
  * release the slot mirror, and decide whether the message should drive
  * job state (false = stale: a superseded attempt, or a finished job).
- * When `grant_time` is non-null it receives the consumed attempt's
- * grant time (untouched if the record was already gone) -- this lets
- * the armed metrics path reuse the one hash lookup done here.
+ * Only a report of the job's current phase, for a task in range, can
+ * have a record. When `grant_time` is non-null it receives the consumed
+ * attempt's grant time (untouched if the record was already gone).
  */
 bool
 consume_terminal(Sim& sim, const ShardMessage& msg,
                  double* grant_time = nullptr)
 {
     const bool is_reduce = (msg.d & kFlagReduce) != 0;
-    const std::uint64_t key =
-        attempt_key(msg.a, packed_iter(msg.d), is_reduce, msg.b,
-                    packed_attempt_no(msg.d));
-    const auto it = sim.running_attempts.find(key);
-    if (it == sim.running_attempts.end())
+    JobState& job = sim.jobs[msg.a];
+    AttemptRec rec;
+    if (packed_iter(msg.d) != job.iter || is_reduce != job.in_reduce ||
+        msg.b >= job.tasks.size() ||
+        !take_record(job, msg.b, packed_attempt_no(msg.d), &rec))
         return false;
     if (grant_time != nullptr)
-        *grant_time = it->second.grant_time;
-    sim.running_attempts.erase(it);
-    JobState& job = sim.jobs[msg.a];
+        *grant_time = rec.grant_time;
+    --sim.live_attempts;
     if (job.running > 0)
         --job.running;
     release_slot(sim, msg.c, is_reduce);
     if (job.finished)
         return false;
-    DCB_EXPECTS(packed_iter(msg.d) == job.iter);
-    DCB_EXPECTS(is_reduce == job.in_reduce);
     DCB_EXPECTS(job.tasks[msg.b].status == TaskStatus::kRunning);
     return true;
 }
@@ -775,44 +861,24 @@ requeue_task(JobState& job, std::uint32_t task)
     job.ready.push_back(task);
 }
 
-/**
- * The still-running other copy of attempt `attempt` of a task in the
- * job's current phase, or end(). A task launches nothing while a copy
- * is live except its one backup, so its live copies are always its
- * latest attempt and, when that is a backup, the attempt before it.
- * Tasks never backed up skip the lookup.
- */
-std::unordered_map<std::uint64_t, RunningRec>::iterator
-find_twin(Sim& sim, std::uint32_t j, std::uint32_t task,
-          std::uint32_t attempt)
-{
-    const JobState& job = sim.jobs[j];
-    const TaskState& ts = job.tasks[task];
-    if (!ts.backed_up)
-        return sim.running_attempts.end();
-    const std::uint32_t latest = ts.attempt_no;
-    const std::uint32_t twin = attempt == latest ? attempt - 1 : latest;
-    return sim.running_attempts.find(
-        attempt_key(j, job.iter, job.in_reduce, task, twin));
-}
-
 /** First copy home wins: kill the other one, if it still runs, and
     count its runtime so far as waste. */
 void
 kill_twin(Sim& sim, Coordinator& co, std::uint32_t j, std::uint32_t task,
           std::uint32_t attempt, double barrier_s)
 {
-    const auto it = find_twin(sim, j, task, attempt);
-    if (it == sim.running_attempts.end())
-        return;
-    const RunningRec rec = it->second;
-    sim.running_attempts.erase(it);
     JobState& job = sim.jobs[j];
+    const TaskState& ts = job.tasks[task];
+    AttemptRec rec;
+    if (!ts.backed_up ||
+        !take_record(job, task, other_copy(ts, attempt), &rec))
+        return;
+    --sim.live_attempts;
     --job.running;
     release_slot(sim, rec.node, job.in_reduce);
     job.out.wasted_task_s += barrier_s - rec.grant_time;
     co.push(sim.topo.rack_of(rec.node), barrier_s, kEvKill, j, task,
-            rec.node, rec.packed);
+            rec.node, launch_packed(sim, job, task, rec.attempt, rec.node));
     if (sim.metrics != nullptr)
         ++sim.job_metrics[j].kills_tally;
 }
@@ -847,9 +913,9 @@ lose_map_output(Sim& sim, std::uint32_t node)
             continue;
         for (std::uint32_t t = 0; t < job.tasks.size(); ++t) {
             TaskState& task = job.tasks[t];
-            if (task.status != TaskStatus::kDone || task.done_node != node)
+            if (task.status != TaskStatus::kDone || task.node != node)
                 continue;
-            task.done_time = -1.0;
+            task.time = -1.0;
             --job.done_in_phase;
             --job.out.maps_completed;
             ++job.out.maps_reexecuted;
@@ -934,18 +1000,18 @@ apply_master_crash(Sim& sim, Coordinator& co, double barrier_s)
                             crash * 1e6,
                             sim.cfg.failover_delay_s * 1e6);
     }
-    for (std::uint32_t j = 0; j < sim.jobs.size(); ++j) {
-        JobState& job = sim.jobs[j];
-        if (!job.admitted || job.finished)
-            continue;
+    // The standby knows no running attempt: every record goes, and a
+    // finished job's stragglers turn stale too.
+    for (JobState& job : sim.jobs) {
+        const bool open = job.admitted && !job.finished;
         for (std::uint32_t t = 0; t < job.tasks.size(); ++t) {
             TaskState& task = job.tasks[t];
-            if (task.status == TaskStatus::kDone &&
-                task.done_time > checkpoint) {
+            if (open && task.status == TaskStatus::kDone &&
+                task.time > checkpoint) {
                 // Completed after the last checkpoint: the standby
                 // never heard about it, so it runs again.
                 task.status = TaskStatus::kPending;
-                task.done_time = -1.0;
+                task.time = -1.0;
                 --job.done_in_phase;
                 if (job.in_reduce)
                     --job.out.reduces_completed;
@@ -953,24 +1019,25 @@ apply_master_crash(Sim& sim, Coordinator& co, double barrier_s)
                     --job.out.maps_completed;
                 ++sim.out.tasks_lost_to_failover;
                 job.ready.push_back(t);
-            } else if (task.status == TaskStatus::kRunning) {
+            } else if (open && task.status == TaskStatus::kRunning) {
                 // The latest attempt, and the one before it when the
-                // latest is its backup (see find_twin).
+                // latest is its backup (see other_copy).
                 for (const std::uint32_t no :
                      {std::uint32_t{task.attempt_no},
                       task.attempt_no - 1u}) {
-                    const auto it = sim.running_attempts.find(
-                        attempt_key(j, job.iter, job.in_reduce, t, no));
-                    if (it != sim.running_attempts.end())
-                        job.out.wasted_task_s += std::max(
-                            0.0, crash - it->second.grant_time);
+                    AttemptRec rec;
+                    if (take_record(job, t, no, &rec))
+                        job.out.wasted_task_s +=
+                            std::max(0.0, crash - rec.grant_time);
                 }
                 requeue_task(job, t);
             }
+            task.live = false;
         }
+        job.twins.clear();
         job.running = 0;
     }
-    sim.running_attempts.clear();
+    sim.live_attempts = 0;
     // The mirror's in-flight slots come back once the shards process
     // the kill; until then it under-grants, which is safe.
     for (std::uint32_t s = 0; s < sim.topo.racks(); ++s)
@@ -1012,13 +1079,15 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
             if (grant_time >= 0.0)
                 m.latency_batch.push_back(msg.time - grant_time);
         }
+        // Kill the twin first: the latest attempt's record sits in the
+        // fields that hold the task's output from here on.
+        kill_twin(sim, co, msg.a, msg.b, packed_attempt_no(msg.d),
+                  barrier_s);
         JobState& job = sim.jobs[msg.a];
         TaskState& task = job.tasks[msg.b];
         task.status = TaskStatus::kDone;
-        task.done_node = msg.c;
-        task.done_time = msg.time;
-        kill_twin(sim, co, msg.a, msg.b, packed_attempt_no(msg.d),
-                  barrier_s);
+        task.node = msg.c;
+        task.time = msg.time;
         ++job.done_in_phase;
         if (job.in_reduce)
             ++job.out.reduces_completed;
@@ -1066,8 +1135,7 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
             return;
         }
         // A surviving speculative copy makes the retry unnecessary.
-        if (find_twin(sim, msg.a, msg.b, packed_attempt_no(msg.d)) !=
-            sim.running_attempts.end())
+        if (twin_running(job, msg.b, packed_attempt_no(msg.d)))
             break;
         const std::uint64_t key =
             attempt_key(msg.a, packed_iter(msg.d),
@@ -1097,8 +1165,7 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
         if (stranded)
             ++job.out.watchdog_kills;
         job.out.wasted_task_s += msg.x;
-        if (find_twin(sim, msg.a, msg.b, packed_attempt_no(msg.d)) ==
-            sim.running_attempts.end())
+        if (!twin_running(job, msg.b, packed_attempt_no(msg.d)))
             requeue_task(job, msg.b);
         if (sim.metrics != nullptr)
             ++sim.job_metrics[msg.a].kills_tally;
@@ -1205,24 +1272,28 @@ launch(Sim& sim, Coordinator& co, std::uint32_t j, std::uint32_t task,
         --nm.free_reduce;
     else
         --nm.free_map;
-    const bool remote =
-        !is_reduce && sim.topo.rack_of(n) != task % sim.topo.racks();
+    TaskState& ts = job.tasks[task];
+    // A backup shadows a live latest attempt, which becomes its twin; a
+    // first copy replaces one that no longer runs.
+    DCB_EXPECTS(backup == ts.live);
+    if (backup)
+        job.twins.push_back({task, ts.attempt_no, ts.node, ts.time});
+    ++ts.attempt_no;
+    ts.backed_up = backup;
+    ts.status = TaskStatus::kRunning;
+    ts.live = true;
+    ts.node = n;
+    ts.time = barrier_s;
+    ++sim.live_attempts;
+    const std::uint32_t packed =
+        launch_packed(sim, job, task, ts.attempt_no, n);
+    const bool remote = (packed & kFlagRemote) != 0;
     const double speed =
         sim.armed ? fault::planned_speed_multiplier(sim.plan, n) : 1.0;
     const double task_s =
         is_reduce ? job.profile.reduce_task_s : job.profile.map_task_s;
     const double nominal =
         task_s * speed * (remote ? sim.cfg.remote_penalty : 1.0);
-    TaskState& ts = job.tasks[task];
-    ++ts.attempt_no;
-    ts.backed_up = backup;
-    ts.status = TaskStatus::kRunning;
-    const std::uint32_t packed = pack_attempt(
-        ts.attempt_no, job.iter,
-        (is_reduce ? kFlagReduce : 0u) | (remote ? kFlagRemote : 0u));
-    sim.running_attempts[attempt_key(j, job.iter, is_reduce, task,
-                                     ts.attempt_no)] = {n, packed,
-                                                        barrier_s};
     ++job.running;
     if (job.out.first_launch_s < 0.0)
         job.out.first_launch_s = barrier_s;
@@ -1322,11 +1393,9 @@ speculate(Sim& sim, Coordinator& co, double barrier_s)
                 if (ts.status != TaskStatus::kRunning ||
                     ts.attempt_no != check.attempt)
                     continue;
-                const std::uint64_t key = attempt_key(
-                    j, job.iter, job.in_reduce, check.task, check.attempt);
+                DCB_EXPECTS(ts.live);
                 const std::int64_t node =
-                    place(sim, check.task, job.in_reduce,
-                          sim.running_attempts.at(key).node);
+                    place(sim, check.task, job.in_reduce, ts.node);
                 if (node < 0) {
                     check.due = barrier_s + kSpeculativeRecheck * task_s;
                     job.spec_recheck.push_back(check);
@@ -1459,7 +1528,7 @@ on_barrier(Sim& sim, double barrier_s,
         co.push(0, wake, kEvWake);
     // Nothing running, nothing granted, nothing scheduled to change:
     // the cluster can no longer serve the remaining work.
-    if (any_active && sim.running_attempts.empty() && grants == 0 &&
+    if (any_active && sim.live_attempts == 0 && grants == 0 &&
         !std::isfinite(wake) && barrier_s > sim.last_fault_time) {
         for (std::uint32_t j = 0; j < sim.jobs.size(); ++j)
             if (sim.jobs[j].admitted && !sim.jobs[j].finished)
@@ -1560,8 +1629,7 @@ observe_barrier(Sim& sim, double barrier_s, std::size_t inbox_size)
         m.uplink_depth->set(
             static_cast<double>(sim.uplink_ends[s].size()));
     }
-    sim.running_gauge->set(
-        static_cast<double>(sim.running_attempts.size()));
+    sim.running_gauge->set(static_cast<double>(sim.live_attempts));
     sim.metrics->snapshot(barrier_index, inbox_size);
 }
 
@@ -2054,12 +2122,15 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
             l.shard = static_cast<std::int32_t>(s);
             sim.metrics->gauge("dcb_host_shard_busy_seconds", l)
                 ->set(er.shards[s].busy_seconds);
-            sim.metrics
-                ->gauge("dcb_host_shard_barrier_wait_seconds", l)
-                ->set(er.shards[s].barrier_wait_seconds);
             sim.metrics->gauge("dcb_host_shard_steals", l)
                 ->set(static_cast<double>(er.shards[s].steals));
         }
+        sim.metrics->gauge("dcb_host_engine_parallel_seconds")
+            ->set(er.parallel_seconds);
+        sim.metrics->gauge("dcb_host_engine_coordinator_seconds")
+            ->set(er.coordinator_seconds);
+        sim.metrics->gauge("dcb_host_engine_idle_seconds")
+            ->set(er.idle_seconds);
     }
     return result;
 }

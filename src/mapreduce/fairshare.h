@@ -185,7 +185,7 @@ struct MultiJobResult
     std::string error;
     std::vector<JobOutcome> jobs;  ///< submission order
     ClusterOutcome cluster;
-    /** Host-side engine stats (events, busy/barrier-wait seconds). */
+    /** Host-side engine stats (events, busy seconds, steals). */
     std::vector<ShardStats> shards;
     /** Simulation-side per-shard utilization (part of dump()). */
     std::vector<ShardUtil> shard_util;

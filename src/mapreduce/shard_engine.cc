@@ -99,6 +99,9 @@ ShardApi::send(double time, std::uint32_t kind, std::uint32_t a,
                double x, double y)
 {
     auto* shard = static_cast<EngineShard*>(shard_);
+    DCB_EXPECTS_MSG(shard->outbox.empty() ||
+                        time >= shard->outbox.back().time,
+                    "shard messages sent out of time order");
     ShardMessage msg;
     msg.time = time;
     msg.from_shard = shard->index;
@@ -202,6 +205,7 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
 
     EngineResult result;
     result.shards.resize(shard_total);
+    result.lanes = workers;
 
     // Drain one shard through the epoch; private state only, so any
     // worker may claim any shard in any order with the same outcome.
@@ -307,14 +311,69 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
             pool->wait_idle();
     };
 
-    const auto region_start = std::chrono::steady_clock::now();
-    Coordinator coordinator(impl_);
+    // Each outbox is in (time, seq) order (ShardApi::send checks it), so
+    // merging the outboxes through a heap of their heads yields the inbox
+    // in (time, from_shard, seq) order without sorting it.
     std::vector<ShardMessage> inbox;
+    struct Head
+    {
+        double time;
+        std::uint32_t shard;
+        std::uint32_t next;
+    };
+    const auto later = [](const Head& a, const Head& b) {
+        return a.time != b.time ? a.time > b.time : a.shard > b.shard;
+    };
+    std::vector<Head> heads;
+    const auto merge_outboxes = [&] {
+        inbox.clear();
+        heads.clear();
+        for (EngineShard& sh : impl_->shards) {
+            sh.stats.messages_sent += sh.outbox.size();
+            if (!sh.outbox.empty())
+                heads.push_back({sh.outbox.front().time, sh.index, 0});
+        }
+        // heads[0] is the earliest head. Take its message, then sift
+        // the shard's next head (or the last one) down from the root.
+        std::make_heap(heads.begin(), heads.end(), later);
+        while (heads.size() > 1) {
+            Head& top = heads[0];
+            const std::vector<ShardMessage>& out =
+                impl_->shards[top.shard].outbox;
+            inbox.push_back(out[top.next]);
+            if (++top.next < out.size()) {
+                top.time = out[top.next].time;
+            } else {
+                top = heads.back();
+                heads.pop_back();
+            }
+            for (std::size_t i = 0, c; (c = 2 * i + 1) < heads.size();
+                 i = c) {
+                if (c + 1 < heads.size() && later(heads[c], heads[c + 1]))
+                    ++c;
+                if (!later(heads[i], heads[c]))
+                    break;
+                std::swap(heads[i], heads[c]);
+            }
+        }
+        if (!heads.empty()) {
+            const std::vector<ShardMessage>& out =
+                impl_->shards[heads[0].shard].outbox;
+            inbox.insert(inbox.end(), out.begin() + heads[0].next,
+                         out.end());
+        }
+        for (EngineShard& sh : impl_->shards)
+            sh.outbox.clear();
+    };
+
+    Coordinator coordinator(impl_);
     bool keep_going = true;
     try {
         // Initial scheduling pass before any event exists.
+        const auto first_pass = std::chrono::steady_clock::now();
         coordinator.barrier_ = 0.0;
         keep_going = on_barrier(0.0, inbox, coordinator);
+        result.coordinator_seconds += seconds_since(first_pass);
         double prev_barrier = 0.0;
         std::vector<EpochShardView> views;
         while (keep_going) {
@@ -332,7 +391,13 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
                     sh.last_event_s = -1.0;
                 }
             }
+            const auto parallel_start = std::chrono::steady_clock::now();
             run_epoch(epoch_end);
+            const auto coordinator_start = std::chrono::steady_clock::now();
+            result.parallel_seconds +=
+                std::chrono::duration<double>(coordinator_start -
+                                              parallel_start)
+                    .count();
             if (worker_failed.load(std::memory_order_acquire))
                 std::rethrow_exception(worker_error);
             ++result.epochs;
@@ -351,31 +416,16 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
             }
             prev_barrier = epoch_end;
 
-            inbox.clear();
-            for (EngineShard& sh : impl_->shards) {
-                sh.stats.messages_sent += sh.outbox.size();
-                inbox.insert(inbox.end(), sh.outbox.begin(),
-                             sh.outbox.end());
-                sh.outbox.clear();
-            }
-            std::sort(inbox.begin(), inbox.end(),
-                      [](const ShardMessage& a, const ShardMessage& b) {
-                          if (a.time != b.time)
-                              return a.time < b.time;
-                          if (a.from_shard != b.from_shard)
-                              return a.from_shard < b.from_shard;
-                          return a.seq < b.seq;
-                      });
+            merge_outboxes();
 
             std::uint64_t events = 0;
             for (const EngineShard& sh : impl_->shards)
                 events += sh.stats.events_processed;
-            if (events > event_budget_) {
-                result.budget_exceeded = true;
-                break;
-            }
+            result.budget_exceeded = events > event_budget_;
             coordinator.barrier_ = epoch_end;
-            keep_going = on_barrier(epoch_end, inbox, coordinator);
+            keep_going = !result.budget_exceeded &&
+                         on_barrier(epoch_end, inbox, coordinator);
+            result.coordinator_seconds += seconds_since(coordinator_start);
         }
     } catch (...) {
         stop_workers();
@@ -383,16 +433,14 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
     }
     stop_workers();
 
-    const double region_wall = seconds_since(region_start);
-    result.events = 0;
+    double busy = 0.0;
     for (std::uint32_t s = 0; s < shard_total; ++s) {
-        ShardStats stats = impl_->shards[s].stats;
-        if (workers > 1)
-            stats.barrier_wait_seconds =
-                std::max(0.0, region_wall - stats.busy_seconds);
-        result.shards[s] = stats;
-        result.events += stats.events_processed;
+        result.shards[s] = impl_->shards[s].stats;
+        result.events += result.shards[s].events_processed;
+        busy += result.shards[s].busy_seconds;
     }
+    result.idle_seconds =
+        std::max(0.0, workers * result.parallel_seconds - busy);
     return result;
 }
 

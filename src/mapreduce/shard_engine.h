@@ -24,8 +24,10 @@
  *     grid cells are skipped wholesale, so sparse phases cost nothing.
  *
  *   - Deterministic merge. Messages emitted during an epoch carry
- *     (emit time, source shard, per-shard sequence); the barrier sorts
- *     the union by exactly that triple before the coordinator sees it.
+ *     (emit time, source shard, per-shard sequence). A shard sends in
+ *     nondecreasing time within an epoch, so each outbox is already in
+ *     (time, seq) order, and the barrier merges the outboxes into one
+ *     inbox in (time, source shard, seq) order for the coordinator.
  *     Together with shard-private state and per-shard Rng::stream
  *     draws, this makes the run a pure function of the seeded inputs:
  *     a 1-thread run and an N-thread run produce bit-identical results
@@ -83,12 +85,9 @@ struct ShardStats
     /** Deterministic simulation-side tallies. */
     std::uint64_t events_processed = 0;
     std::uint64_t messages_sent = 0;
-    /** Host-side tallies (never part of deterministic dumps): wall
-        seconds inside this shard's event handlers, and wall seconds the
-        shard's lane sat idle while the parallel region ran (the load
-        imbalance the barrier pays for). */
+    /** Host-side (never part of deterministic dumps): wall seconds
+        inside this shard's event handlers. */
     double busy_seconds = 0.0;
-    double barrier_wait_seconds = 0.0;
     /** Host-side: epochs in which this shard was drained by a worker
         other than its round-robin home (shard % workers) -- how often
         the work-stealing claim index rebalanced it. 0 on serial runs. */
@@ -102,6 +101,20 @@ struct EngineResult
     std::uint64_t epochs = 0;
     std::uint64_t events = 0;
     double end_time_s = 0.0;  ///< last barrier reached
+    /**
+     * Host-side wall split (never part of deterministic dumps). The
+     * run's wall time is `parallel_seconds` inside the epochs' parallel
+     * regions, `coordinator_seconds` on the coordinating thread at the
+     * barriers (outbox merge, barrier callback, epoch observer), and a
+     * small rest (epoch bounds, worker start and stop). Within the
+     * parallel regions each of the `lanes` threads is either running a
+     * shard's handlers or idle: summed over shards, busy_seconds +
+     * idle_seconds = lanes * parallel_seconds.
+     */
+    double parallel_seconds = 0.0;
+    double coordinator_seconds = 0.0;
+    double idle_seconds = 0.0;
+    unsigned lanes = 1;  ///< min(threads, shards), at least 1
     /** True when the event budget stopped the run (livelock guard);
         the model decides how to fail its pending work. */
     bool budget_exceeded = false;
@@ -126,7 +139,9 @@ class ShardApi
               std::uint32_t d = 0, double x = 0.0);
 
     /** Emit a message the coordinator sees at the next barrier. `time`
-        must be within the current epoch's span (now() is typical). */
+        must be within the current epoch's span (now() is typical) and
+        at or after the time of the shard's previous send this epoch,
+        which keeps the outbox sorted for the barrier's merge. */
     void send(double time, std::uint32_t kind, std::uint32_t a = 0,
               std::uint32_t b = 0, std::uint32_t c = 0,
               std::uint32_t d = 0, double x = 0.0, double y = 0.0);

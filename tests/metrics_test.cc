@@ -31,8 +31,8 @@ slurp(const std::string& path)
 
 /**
  * Drop the `dcb_host_*` families from an exposition: those gauges are
- * documented host-side wall-clock values (engine busy/wait timings,
- * steal counts), so they are exactly the lines that legitimately vary
+ * documented host-side wall-clock values (shard busy seconds, the
+ * engine's parallel/coordinator/idle split, steal counts), so they are exactly the lines that legitimately vary
  * across thread counts. Everything else must be byte-stable.
  */
 std::string
@@ -162,6 +162,29 @@ TEST(MetricsCluster, ArmedDumpMatchesUnarmedDump)
     // And the registry really observed the run.
     EXPECT_GT(registry.series_count(), 0u);
     EXPECT_GT(registry.snapshot_count(), 0u);
+}
+
+/** The engine's host-side wall split lands in one engine-level gauge
+    per part; no per-shard barrier wait is left. */
+TEST(MetricsCluster, EngineWallSplitGaugesExported)
+{
+    MetricsRegistry registry;
+    mapreduce::MultiJobOptions options;
+    options.threads = 2;
+    options.metrics = &registry;
+    const mapreduce::MultiJobResult result = mapreduce::MultiJobScheduler()
+        .run(small_fleet(), small_cluster(), options);
+    ASSERT_TRUE(result.ok) << result.error;
+    const std::string prom = registry.render_prometheus();
+    for (const char* part : {"parallel", "coordinator", "idle"}) {
+        const std::string name =
+            std::string("dcb_host_engine_") + part + "_seconds";
+        ASSERT_NE(prom.find(name), std::string::npos) << name;
+        EXPECT_GE(registry.gauge(name)->value(), 0.0) << name;
+    }
+    EXPECT_GT(registry.gauge("dcb_host_engine_parallel_seconds")->value(),
+              0.0);
+    EXPECT_EQ(prom.find("barrier_wait"), std::string::npos);
 }
 
 // ---- Registry semantics ----------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -125,6 +126,70 @@ TEST(ShardEngine, EpochGridSkipsEmptyCells)
     EXPECT_EQ(result.epochs, 2u);
     EXPECT_EQ(result.events, 2u);
     EXPECT_DOUBLE_EQ(result.end_time_s, 101.0);
+}
+
+/**
+ * The host-side wall split holds together: every part is >= 0, the
+ * parallel and coordinator parts fit inside the run's wall time, and
+ * the lanes' parallel seconds are either a shard's busy time or idle.
+ * Structural facts only; no timing bound.
+ */
+TEST(ShardEngine, WallSplitAddsUp)
+{
+    for (const unsigned threads : {1u, 4u}) {
+        ShardedEngine engine(8, 0.5, 3);
+        for (std::uint32_t s = 0; s < 8; ++s)
+            engine.seed_event(s, 0.1 * s, 1, 200);
+        const auto start = std::chrono::steady_clock::now();
+        const EngineResult result = engine.run(
+            [](std::uint32_t, const ShardEvent& ev, ShardApi& api) {
+                api.send(api.now(), 1, ev.a);
+                if (ev.a > 0)
+                    api.push(api.now() + 0.2, 1, ev.a - 1);
+            },
+            [](double, const std::vector<ShardMessage>&, Coordinator&) {
+                return true;
+            },
+            threads);
+        const std::chrono::duration<double> wall =
+            std::chrono::steady_clock::now() - start;
+        EXPECT_EQ(result.lanes, threads) << threads;
+        EXPECT_GE(result.parallel_seconds, 0.0) << threads;
+        EXPECT_GE(result.coordinator_seconds, 0.0) << threads;
+        EXPECT_GE(result.idle_seconds, 0.0) << threads;
+        EXPECT_LE(result.parallel_seconds + result.coordinator_seconds,
+                  wall.count())
+            << threads;
+        double busy = 0.0;
+        for (const ShardStats& st : result.shards) {
+            EXPECT_GE(st.busy_seconds, 0.0) << threads;
+            busy += st.busy_seconds;
+        }
+        EXPECT_NEAR(busy + result.idle_seconds,
+                    threads * result.parallel_seconds,
+                    1e-9 * (1.0 + threads * result.parallel_seconds))
+            << threads;
+    }
+}
+
+/** The barrier merges sorted outboxes, so a shard that sends back in
+    time within an epoch is a bug the engine refuses to reorder. */
+TEST(ShardEngineDeathTest, SendBackInTimeIsRejected)
+{
+    EXPECT_DEATH(
+        {
+            ShardedEngine engine(1, 1.0, 5);
+            engine.seed_event(0, 0.5, 1);
+            engine.run(
+                [](std::uint32_t, const ShardEvent&, ShardApi& api) {
+                    api.send(api.now(), 1);
+                    api.send(api.now() - 0.25, 1);
+                },
+                [](double, const std::vector<ShardMessage>&,
+                   Coordinator&) { return true; },
+                1);
+        },
+        "out of time order");
 }
 
 /** Per-shard streams: reproducible per stream id, distinct across ids. */
@@ -377,6 +442,251 @@ TEST(MultiJob, ValidationErrorsAreReported)
         MultiJobScheduler().run(subs, cluster);
     EXPECT_FALSE(bad_weight.ok);
     EXPECT_NE(bad_weight.error.find("weight"), std::string::npos);
+}
+
+
+// ---- Absolute pins ---------------------------------------------------
+
+std::uint64_t
+fnv1a(const std::string& text)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/**
+ * perfbench's cluster fleet at seed 1: 512 nodes in 32 racks, 16 jobs
+ * with input sizes in five steps, shuffle-heavy every third job,
+ * iterative every fourth, staggered arrivals and weights 1-3.
+ */
+std::vector<JobSubmission>
+fleet_submissions()
+{
+    util::Rng rng(1 ^ 0xF1EE7ULL);
+    std::vector<JobSubmission> subs(16);
+    for (std::uint32_t j = 0; j < subs.size(); ++j) {
+        JobSubmission& sub = subs[j];
+        sub.spec.name = "fleet";
+        sub.spec.input_gb =
+            (192.0 + 48.0 * (j % 5)) * (0.9 + 0.2 * rng.next_double());
+        sub.spec.total_instructions_g = 30.0 * sub.spec.input_gb;
+        sub.spec.map_output_ratio = (j % 3 == 0) ? 0.8 : 0.2;
+        if (j % 4 == 3)
+            sub.spec.iterations = 2;
+        sub.submit_time_s = 4.0 * j + 2.0 * rng.next_double();
+        sub.weight = 1.0 + (j % 3);
+    }
+    return subs;
+}
+
+/** The fleet's plan: fault-free (its seed still drives the per-shard
+    jitter streams) or perfbench's correlated chaos plan. */
+fault::FaultPlan
+fleet_plan(bool chaos)
+{
+    fault::FaultPlan plan;
+    plan.seed = util::Rng(1 ^ 0xC1A05C41EULL).next_u64();
+    if (!chaos)
+        return plan;
+    plan.task_crash_prob = 0.01;
+    plan.task_hang_prob = 0.004;
+    plan.slow_node_fraction = 0.08;
+    plan.slow_multiplier = 1.7;
+    plan.node_crash_time_s = 60.0;
+    plan.crash_node = 512 / 3;
+    plan.rack_crash_time_s = 120.0;
+    plan.crash_rack = 32 / 2;
+    plan.partition_time_s = 80.0;
+    plan.partition_duration_s = 45.0;
+    plan.partition_rack = 32 / 4;
+    plan.master_crash_time_s = 100.0;
+    plan.cascade_prob = 0.4;
+    return plan;
+}
+
+MultiJobResult
+run_fleet(bool chaos)
+{
+    FairShareConfig config;
+    config.attempt_jitter_sigma = 0.25;
+    ClusterConfig cluster;
+    cluster.slaves = 512;
+    cluster.racks = 32;
+    fault::FaultInjector injector(fleet_plan(chaos));
+    MultiJobOptions options;
+    options.injector = &injector;
+    return MultiJobScheduler(config).run(fleet_submissions(), cluster,
+                                         options);
+}
+
+/**
+ * The fair-share scheduler's output pinned absolutely, at fleet scale:
+ * the FNV-1a hash of the whole dump, fault-free and under the
+ * correlated chaos plan. The other MultiJob tests only compare runs
+ * with each other, so a change that moves every run alike passes them.
+ * If a change moves these hashes, it changed what the scheduler
+ * decides: fix it, or re-pin deliberately and explain the diff.
+ */
+TEST(MultiJob, FleetDumpIsPinned)
+{
+    const MultiJobResult fault_free = run_fleet(false);
+    ASSERT_TRUE(fault_free.all_completed()) << fault_free.error;
+    EXPECT_EQ(fnv1a(fault_free.dump()), 419301529282432076ULL);
+    const MultiJobResult chaos = run_fleet(true);
+    ASSERT_TRUE(chaos.ok) << chaos.error;
+    EXPECT_EQ(fnv1a(chaos.dump()), 16484296730939967788ULL);
+}
+
+// ---- Speculative twins -------------------------------------------------
+
+/**
+ * One 16-map, 8-reduce job on 8 nodes in 2 racks with 2 map slots and 1
+ * reduce slot each, so every map runs in the first wave (about 24 s).
+ * A quarter of the nodes run 3x slow: their maps get a backup on another
+ * node at 36 s (1.5x the profile time), which finishes at 60 s, well
+ * before the original would at 72 s. `seed` picks the slow nodes and the
+ * crash draws; the other arguments add faults on top.
+ */
+struct TwinRun
+{
+    MultiJobResult result;
+    std::vector<fault::FaultEvent> faults;
+};
+
+TwinRun
+run_twins(std::uint64_t seed, double crash_prob, double node_crash_s,
+          double master_crash_s, unsigned threads)
+{
+    ClusterConfig cluster;
+    cluster.slaves = 8;
+    cluster.racks = 2;
+    cluster.map_slots = 2;
+    cluster.reduce_slots = 1;
+    std::vector<JobSubmission> subs(1);
+    subs[0].spec = small_job("twin", 1.0);
+    subs[0].spec.total_instructions_g = 4000.0;
+    fault::FaultPlan plan;
+    plan.seed = seed;
+    plan.slow_node_fraction = 0.25;
+    plan.slow_multiplier = 3.0;
+    plan.task_crash_prob = crash_prob;
+    plan.node_crash_time_s = node_crash_s;
+    plan.crash_node = 0;
+    plan.master_crash_time_s = master_crash_s;
+    fault::FaultInjector injector(plan);
+    MultiJobOptions options;
+    options.threads = threads;
+    options.injector = &injector;
+    TwinRun run;
+    run.result = MultiJobScheduler().run(subs, cluster, options);
+    run.faults = injector.log().events();
+    // The sharded engine must agree with the serial one here too.
+    if (threads == 1) {
+        EXPECT_EQ(run.result.dump(),
+                  run_twins(seed, crash_prob, node_crash_s,
+                            master_crash_s, 4)
+                      .result.dump());
+    }
+    return run;
+}
+
+/** Map launches: first copies, map-phase backups and retries. */
+std::uint64_t
+map_launches(const JobOutcome& job)
+{
+    return job.local_map_launches + job.remote_map_launches;
+}
+
+/**
+ * A backup crashes while the slow original it shadows keeps running:
+ * the original's later finish completes the task, so no retry is
+ * queued. Seed 15 slows nodes 0, 1, 4 and 5, backs up maps 0-7 and
+ * crashes only the backup (attempt 2) of map 3.
+ */
+TEST(MultiJob, FailedBackupLeavesOriginalRunningWithoutRetry)
+{
+    const TwinRun run = run_twins(15, 0.03, -1.0, -1.0, 1);
+    ASSERT_TRUE(run.result.all_completed()) << run.result.error;
+    ASSERT_EQ(run.faults.size(), 1u);
+    EXPECT_EQ(run.faults[0].kind, fault::FaultKind::kTaskCrash);
+    EXPECT_EQ(run.faults[0].task, 3u);
+    EXPECT_EQ(run.faults[0].attempt, 2u);  // the backup
+    const JobOutcome& job = run.result.jobs[0];
+    EXPECT_EQ(job.task_failures, 1u);
+    EXPECT_EQ(job.maps_completed, 16u);
+    EXPECT_EQ(map_launches(job), 24u);  // 16 first copies + 8 backups
+    EXPECT_EQ(job.speculative_launched, 12u);
+    EXPECT_EQ(job.wasted_task_s, 488.35868806907661);
+    EXPECT_EQ(job.finish_s, 86.685825002148675);
+}
+
+/**
+ * The mirror case: a slow original crashes after its backup launched,
+ * and the backup finishes the task with no retry queued. Seed 3 backs
+ * up maps 8 and 10 and crashes map 8's original (attempt 1).
+ */
+TEST(MultiJob, FailedOriginalLeavesBackupRunningWithoutRetry)
+{
+    const TwinRun run = run_twins(3, 0.03, -1.0, -1.0, 1);
+    ASSERT_TRUE(run.result.all_completed()) << run.result.error;
+    ASSERT_EQ(run.faults.size(), 1u);
+    EXPECT_EQ(run.faults[0].kind, fault::FaultKind::kTaskCrash);
+    EXPECT_EQ(run.faults[0].task, 8u);
+    EXPECT_EQ(run.faults[0].attempt, 1u);  // the original
+    const JobOutcome& job = run.result.jobs[0];
+    EXPECT_EQ(job.task_failures, 1u);
+    EXPECT_EQ(job.maps_completed, 16u);
+    EXPECT_EQ(map_launches(job), 18u);  // 16 first copies + 2 backups
+    EXPECT_EQ(job.speculative_launched, 3u);
+    EXPECT_EQ(job.wasted_task_s, 127.45083831987429);
+    EXPECT_EQ(job.finish_s, 74.685825002148675);
+}
+
+/**
+ * Seed 1 slows nodes 0 and 4. The backups of maps 0-3 win at the 60 s
+ * barrier, which kills the slow originals and also starts the reduce
+ * phase. Node 0 crashes at exactly 60 s, before the kill events reach
+ * it, so the originals of maps 0 and 2 report KILLED after the job has
+ * moved on. Those reports belong to the map phase and are stale: they
+ * must not consume reduce 0 or 2, whose attempt 1 is running then.
+ */
+TEST(MultiJob, LoserReportAfterPhaseChangeIsStale)
+{
+    const TwinRun run = run_twins(1, 0.0, 60.0, -1.0, 1);
+    ASSERT_TRUE(run.result.all_completed()) << run.result.error;
+    ASSERT_EQ(run.faults.size(), 1u);
+    EXPECT_EQ(run.faults[0].kind, fault::FaultKind::kNodeCrash);
+    EXPECT_EQ(run.result.cluster.nodes_lost, 1u);
+    const JobOutcome& job = run.result.jobs[0];
+    EXPECT_EQ(job.maps_completed, 16u);
+    EXPECT_EQ(job.reduces_completed, 8u);
+    EXPECT_EQ(job.maps_reexecuted, 0u);
+    EXPECT_EQ(map_launches(job), 20u);
+    EXPECT_EQ(job.speculative_launched, 5u);
+    EXPECT_EQ(job.wasted_task_s, 255.0);
+    EXPECT_EQ(job.finish_s, 74.685825002148675);
+}
+
+/**
+ * The master crashes at 45 s, while maps 0-3 each run a slow original
+ * (granted at 0 s) and its backup (granted at 36 s). Failover charges
+ * both copies of each task: 4 x (45 + 9) s on top of the rest.
+ */
+TEST(MultiJob, MasterCrashChargesBothLiveCopies)
+{
+    const TwinRun run = run_twins(1, 0.0, -1.0, 45.0, 1);
+    ASSERT_TRUE(run.result.all_completed()) << run.result.error;
+    EXPECT_EQ(run.result.cluster.master_failovers, 1u);
+    const JobOutcome& job = run.result.jobs[0];
+    EXPECT_EQ(job.maps_completed, 16u);
+    EXPECT_EQ(map_launches(job), 28u);
+    EXPECT_EQ(job.speculative_launched, 10u);
+    EXPECT_EQ(job.wasted_task_s, 486.0);
+    EXPECT_EQ(job.finish_s, 131.68582500214868);
 }
 
 }  // namespace
