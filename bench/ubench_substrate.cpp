@@ -6,12 +6,16 @@
  * regressions in the simulator.
  */
 
+#include <chrono>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "cpu/branch.h"
 #include "cpu/core.h"
+#include "mapreduce/shard_engine.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "trace/code_layout.h"
@@ -201,6 +205,91 @@ BM_BranchResolveConditional(benchmark::State& state)
     }
 }
 BENCHMARK(BM_BranchResolveConditional);
+
+/**
+ * The sharded engine's queue under the cluster's load shape: 32 shards
+ * on one thread, each with 350 running attempts that re-push a progress
+ * heartbeat every lookahead and hold one pending finish, so about 700
+ * events are pending per shard. A finish relaunches its attempt until
+ * the horizon. Reports host ns per processed event inside run(), so
+ * the seeding is not counted.
+ *
+ * With watchdog_factor > 0 every launch also queues a watchdog at
+ * start + factor x its duration, as the fault-armed scheduler does
+ * (factor 6 is FairShareConfig's default). The attempt finishes long
+ * before, so the watchdog is stale when it fires, but until then it is
+ * a far-future event that each epoch's partition of the shard's
+ * pending vector walks past.
+ */
+void
+BM_ShardEngineHeartbeats(benchmark::State& state)
+{
+    constexpr std::uint32_t kShards = 32;
+    constexpr std::uint32_t kAttempts = 350;
+    constexpr double kLookahead = 1.0;
+    constexpr double kHorizon = 40.0;
+    constexpr std::uint32_t kProgress = 0;
+    constexpr std::uint32_t kFinish = 1;
+    constexpr std::uint32_t kWatchdog = 2;
+    const auto watchdog_factor = static_cast<double>(state.range(0));
+    std::uint64_t events = 0;
+    double run_s = 0.0;
+    for (auto _ : state) {
+        mapreduce::ShardedEngine engine(kShards, kLookahead, 11);
+        util::Rng rng(5);
+        for (std::uint32_t s = 0; s < kShards; ++s) {
+            for (std::uint32_t a = 0; a < kAttempts; ++a) {
+                const double start = rng.next_double() * kLookahead;
+                const double end = start + 4.0 + 12.0 * rng.next_double();
+                engine.seed_event(s, start, kProgress, a, 0, 0, 0, end);
+                engine.seed_event(s, end, kFinish, a);
+                if (watchdog_factor > 0.0)
+                    engine.seed_event(
+                        s, start + watchdog_factor * (end - start),
+                        kWatchdog, a);
+            }
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        const mapreduce::EngineResult result = engine.run(
+            [watchdog_factor](std::uint32_t,
+                              const mapreduce::ShardEvent& ev,
+                              mapreduce::ShardApi& api) {
+                if (ev.kind == kWatchdog)
+                    return;  // stale: its attempt finished long ago
+                if (ev.kind == kProgress) {
+                    // x is the attempt's finish time.
+                    if (api.now() + kLookahead < ev.x)
+                        api.push(api.now() + kLookahead, kProgress, ev.a, 0,
+                                 0, 0, ev.x);
+                    return;
+                }
+                if (api.now() >= kHorizon)
+                    return;
+                const double duration = 4.0 + 12.0 * api.rng().next_double();
+                const double end = api.now() + duration;
+                api.push(api.now(), kProgress, ev.a, 0, 0, 0, end);
+                api.push(end, kFinish, ev.a);
+                if (watchdog_factor > 0.0)
+                    api.push(api.now() + watchdog_factor * duration,
+                             kWatchdog, ev.a);
+            },
+            [](double, const std::vector<mapreduce::ShardMessage>&,
+               mapreduce::Coordinator&) { return true; },
+            1);
+        run_s += std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+        benchmark::DoNotOptimize(result.events);
+        events += result.events;
+    }
+    state.counters["ns_per_event"] =
+        run_s * 1e9 / static_cast<double>(events);
+}
+BENCHMARK(BM_ShardEngineHeartbeats)
+    ->ArgName("watchdog_factor")
+    ->Arg(0)
+    ->Arg(6)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -141,10 +142,10 @@ struct DeferredMsg
     double x = 0.0, y = 0.0;
 };
 
-struct ShardLocal
+/** Cache-line aligned: neighbouring shards drain on different workers
+    and every heartbeat writes its shard's counters. */
+struct alignas(64) ShardLocal
 {
-    std::uint32_t node_begin = 0;
-    std::uint32_t node_end = 0;
     double uplink_bw = 1.0;  ///< bytes/s through the shared rack uplink
     double uplink_busy_until = 0.0;
     std::vector<Attempt> attempts;
@@ -315,6 +316,7 @@ struct Sim
         queue-depth gauge and the per-shard trace counter track. */
     std::vector<std::vector<double>> uplink_ends;
     std::vector<std::int64_t> uplink_depth_last;  ///< -1 = never traced
+    std::vector<std::string> uplink_tracks;  ///< "uplink r<shard>" names
     /** Blacklist span starts per node (-1 = not blacklisted). */
     std::vector<double> blacklist_since;
     /** Grant instants buffered within a barrier (trace armed): every
@@ -328,6 +330,14 @@ struct Sim
     std::vector<ShardLocal> shards;  // shard-owned during epochs
     std::vector<JobState> jobs;      // coordinator-owned
     std::vector<NodeMirror> mirror;  // coordinator-owned
+    /** The rack layout, built once from `topo` and the only copy the
+        shard handlers and the coordinator read: rack r (= shard r)
+        holds nodes [rack_bounds[r], rack_bounds[r + 1]) and node n is
+        in rack node_rack[n]. Read-only during epochs. */
+    std::vector<std::uint32_t> rack_bounds;
+    std::vector<std::uint32_t> node_rack;
+    /** grant_pass's (share, job) min-heap, kept to reuse its storage. */
+    std::vector<std::pair<double, std::uint32_t>> grant_heap;
     std::uint64_t live_attempts = 0;  ///< attempt records, all jobs
     ClusterOutcome out;
     std::uint32_t blacklisted_now = 0;
@@ -546,7 +556,7 @@ shard_kill_node(Sim& sim, std::uint32_t s, std::uint32_t node,
     }
     api.send(api.now(), kMsgFault,
              static_cast<std::uint32_t>(fault::FaultKind::kNodeCrash),
-             node, sim.topo.rack_of(node));
+             node, sim.node_rack[node]);
 }
 
 /** The coordinator's verdict on the losing copy of a speculated task:
@@ -590,8 +600,8 @@ shard_event(Sim& sim, std::uint32_t s, const ShardEvent& ev,
         shard_kill_node(sim, s, ev.a, api);
         break;
       case kEvRackCrash: {
-        const std::uint32_t begin = sim.shards[s].node_begin;
-        const std::uint32_t end = sim.shards[s].node_end;
+        const std::uint32_t begin = sim.rack_bounds[s];
+        const std::uint32_t end = sim.rack_bounds[s + 1];
         for (std::uint32_t n = begin; n < end; ++n)
             shard_kill_node(sim, s, n, api);
         api.send(api.now(), kMsgFault,
@@ -601,18 +611,19 @@ shard_event(Sim& sim, std::uint32_t s, const ShardEvent& ev,
         break;
       }
       case kEvPartitionBegin: {
-        const ShardLocal& sh = sim.shards[s];
-        for (std::uint32_t n = sh.node_begin; n < sh.node_end; ++n)
+        for (std::uint32_t n = sim.rack_bounds[s];
+             n < sim.rack_bounds[s + 1]; ++n)
             sim.nodes[n].partitioned = true;
         api.send(api.now(), kMsgFault,
                  static_cast<std::uint32_t>(
                      fault::FaultKind::kNetPartition),
-                 sh.node_begin, s);
+                 sim.rack_bounds[s], s);
         break;
       }
       case kEvPartitionHeal: {
         ShardLocal& sh = sim.shards[s];
-        for (std::uint32_t n = sh.node_begin; n < sh.node_end; ++n)
+        for (std::uint32_t n = sim.rack_bounds[s];
+             n < sim.rack_bounds[s + 1]; ++n)
             sim.nodes[n].partitioned = false;
         // Reports held behind the partition reach the master now, in
         // their original (deterministic) order, then the heal itself.
@@ -759,7 +770,7 @@ launch_packed(const Sim& sim, const JobState& job, std::uint32_t task,
               std::uint32_t attempt, std::uint32_t node)
 {
     const bool remote = !job.in_reduce &&
-                        sim.topo.rack_of(node) != task % sim.topo.racks();
+                        sim.node_rack[node] != task % sim.topo.racks();
     return pack_attempt(attempt, job.iter,
                         (job.in_reduce ? kFlagReduce : 0u) |
                             (remote ? kFlagRemote : 0u));
@@ -877,7 +888,7 @@ kill_twin(Sim& sim, Coordinator& co, std::uint32_t j, std::uint32_t task,
     --job.running;
     release_slot(sim, rec.node, job.in_reduce);
     job.out.wasted_task_s += barrier_s - rec.grant_time;
-    co.push(sim.topo.rack_of(rec.node), barrier_s, kEvKill, j, task,
+    co.push(sim.node_rack[rec.node], barrier_s, kEvKill, j, task,
             rec.node, launch_packed(sim, job, task, rec.attempt, rec.node));
     if (sim.metrics != nullptr)
         ++sim.job_metrics[j].kills_tally;
@@ -960,7 +971,7 @@ close_blacklist_span(Sim& sim, std::uint32_t node, double end_s)
     std::snprintf(buf, sizeof buf, "blacklist n%u", node);
     sim.trace->complete(buf, "blacklist",
                         obs::TraceWriter::kClusterPid,
-                        920000 + sim.topo.rack_of(node), begin * 1e6,
+                        920000 + sim.node_rack[node], begin * 1e6,
                         (end_s - begin) * 1e6);
 }
 
@@ -973,7 +984,7 @@ cascade_check(Sim& sim, Coordinator& co, double barrier_s)
     if (sim.injector->cascade_fires(sim.cascade_trigger++,
                                     sim.cluster.slaves, &victim)) {
         ++sim.out.cascades_triggered;
-        co.push(sim.topo.rack_of(victim), barrier_s, kEvNodeCrash,
+        co.push(sim.node_rack[victim], barrier_s, kEvNodeCrash,
                 victim);
     }
 }
@@ -1067,7 +1078,7 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
         // stamp feeds the per-shard queue-depth gauge/counter track.
         if (!sim.uplink_ends.empty() && (msg.d & kFlagReduce) == 0 &&
             msg.y > msg.time)
-            sim.uplink_ends[sim.topo.rack_of(msg.c)].push_back(msg.y);
+            sim.uplink_ends[sim.node_rack[msg.c]].push_back(msg.y);
         // Grant-to-finish latency: consume_terminal surfaces the grant
         // time from the attempt record it erases (single hash lookup).
         double grant_time = -1.0;
@@ -1196,8 +1207,8 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
         } else if (kind == fault::FaultKind::kNetPartition) {
             ++sim.out.partitions;
             const std::uint32_t rack = msg.c;
-            for (std::uint32_t n = sim.topo.rack_begin(rack);
-                 n < sim.topo.rack_end(rack); ++n)
+            for (std::uint32_t n = sim.rack_bounds[rack];
+                 n < sim.rack_bounds[rack + 1]; ++n)
                 sim.mirror[n].partitioned = true;
             record_fault(sim, kind, msg.time, msg.b, 0, 0);
         }
@@ -1207,9 +1218,9 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
         const std::uint32_t rack = msg.a;
         ++sim.out.partition_heals;
         record_fault(sim, fault::FaultKind::kPartitionHeal, msg.time,
-                     sim.topo.rack_begin(rack), 0, 0);
-        for (std::uint32_t n = sim.topo.rack_begin(rack);
-             n < sim.topo.rack_end(rack); ++n) {
+                     sim.rack_bounds[rack], 0, 0);
+        for (std::uint32_t n = sim.rack_bounds[rack];
+             n < sim.rack_bounds[rack + 1]; ++n) {
             NodeMirror& nm = sim.mirror[n];
             nm.partitioned = false;
             // Partition forgiveness: the node was not at fault.
@@ -1243,11 +1254,11 @@ place(const Sim& sim, std::uint32_t task, bool is_reduce,
       std::int64_t exclude = -1)
 {
     const std::uint32_t racks = sim.topo.racks();
-    const std::uint32_t preferred = task % racks;
-    for (std::uint32_t off = 0; off < racks; ++off) {
-        const std::uint32_t r = (preferred + off) % racks;
-        for (std::uint32_t n = sim.topo.rack_begin(r);
-             n < sim.topo.rack_end(r); ++n) {
+    std::uint32_t r = task % racks;
+    for (std::uint32_t off = 0; off < racks;
+         ++off, r = (r + 1 == racks ? 0 : r + 1)) {
+        for (std::uint32_t n = sim.rack_bounds[r];
+             n < sim.rack_bounds[r + 1]; ++n) {
             // Free slots first: on a busy cluster most nodes fail there.
             const NodeMirror& nm = sim.mirror[n];
             if ((is_reduce ? nm.free_reduce : nm.free_map) != 0 &&
@@ -1305,7 +1316,7 @@ launch(Sim& sim, Coordinator& co, std::uint32_t j, std::uint32_t task,
     }
     job.out.max_task_attempts = std::max<std::uint32_t>(
         job.out.max_task_attempts, ts.attempts_used + 1u);
-    co.push(sim.topo.rack_of(n), barrier_s, kEvLaunch, j, task, n, packed,
+    co.push(sim.node_rack[n], barrier_s, kEvLaunch, j, task, n, packed,
             nominal);
     if (sim.metrics != nullptr)
         ++sim.job_metrics[j].grants_tally;
@@ -1325,43 +1336,47 @@ launch(Sim& sim, Coordinator& co, std::uint32_t j, std::uint32_t task,
             {barrier_s + kSpeculativeSlowdown * task_s, task, ts.attempt_no});
 }
 
-/** One weighted fair-share grant pass; returns grants made. */
+/**
+ * One weighted fair-share grant pass; returns grants made. Deficit
+ * pick: the runnable job with the least running work per unit weight,
+ * ties to the earliest submission, from a min-heap of (share, job). A
+ * grant changes only its own job's share, so only that job is re-pushed;
+ * a job whose placement fails stays out for the rest of the pass.
+ */
 std::uint64_t
 grant_pass(Sim& sim, Coordinator& co, double barrier_s)
 {
-    std::vector<char> stalled(sim.jobs.size(), 0);
+    const auto share = [&sim](std::uint32_t j) {
+        const JobState& job = sim.jobs[j];
+        return static_cast<double>(job.running) / job.sub.weight;
+    };
+    using Pick = std::pair<double, std::uint32_t>;
+    std::vector<Pick>& heap = sim.grant_heap;
+    heap.clear();
+    for (std::uint32_t j = 0; j < sim.jobs.size(); ++j) {
+        const JobState& job = sim.jobs[j];
+        if (job.admitted && !job.finished && !job.ready.empty())
+            heap.emplace_back(share(j), j);
+    }
+    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
     std::uint64_t grants = 0;
-    for (;;) {
-        // Deficit pick: the runnable job with the least running work
-        // per unit weight (ties to the earliest submission).
-        std::int64_t best = -1;
-        double best_share = kInf;
-        for (std::uint32_t j = 0; j < sim.jobs.size(); ++j) {
-            const JobState& job = sim.jobs[j];
-            if (!job.admitted || job.finished || stalled[j] ||
-                job.ready.empty())
-                continue;
-            const double share =
-                static_cast<double>(job.running) / job.sub.weight;
-            if (share < best_share) {
-                best_share = share;
-                best = j;
-            }
-        }
-        if (best < 0)
-            break;
-        const auto j = static_cast<std::uint32_t>(best);
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        const std::uint32_t j = heap.back().second;
+        heap.pop_back();
         JobState& job = sim.jobs[j];
         const std::uint32_t task = job.ready.front();
         const std::int64_t node = place(sim, task, job.in_reduce);
-        if (node < 0) {
-            stalled[j] = 1;
+        if (node < 0)
             continue;
-        }
         job.ready.pop_front();
         launch(sim, co, j, task, static_cast<std::uint32_t>(node),
                barrier_s, false);
         ++grants;
+        if (!job.ready.empty()) {
+            heap.emplace_back(share(j), j);
+            std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+        }
     }
     return grants;
 }
@@ -1608,9 +1623,7 @@ observe_barrier(Sim& sim, double barrier_s, std::size_t inbox_size)
         const auto depth = static_cast<std::int64_t>(ends.size());
         if (sim.trace != nullptr &&
             depth != sim.uplink_depth_last[s]) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "uplink r%u", s);
-            sim.trace->counter(buf, "uplink",
+            sim.trace->counter(sim.uplink_tracks[s], "uplink",
                                obs::TraceWriter::kClusterPid,
                                920000 + s, barrier_s * 1e6, "depth",
                                static_cast<double>(depth));
@@ -1888,13 +1901,17 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
         sim.mirror[n].free_map = sim.nodes[n].free_map;
         sim.mirror[n].free_reduce = sim.nodes[n].free_reduce;
     }
+    for (std::uint32_t r = 0; r < shard_count; ++r) {
+        sim.rack_bounds.push_back(sim.topo.rack_begin(r));
+        sim.node_rack.resize(sim.topo.rack_end(r), r);
+    }
+    sim.rack_bounds.push_back(sim.topo.nodes());
     sim.shards.resize(shard_count);
     const double node_bw = cluster.network.bandwidth_mb_s * kMiB;
     for (std::uint32_t s = 0; s < shard_count; ++s) {
-        sim.shards[s].node_begin = sim.topo.rack_begin(s);
-        sim.shards[s].node_end = sim.topo.rack_end(s);
         sim.shards[s].uplink_bw =
-            std::max(1.0, sim.topo.rack_size(s) * node_bw /
+            std::max(1.0, (sim.rack_bounds[s + 1] - sim.rack_bounds[s]) *
+                              node_bw /
                               config_.uplink_oversubscription);
     }
 
@@ -1940,6 +1957,10 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
     if (observed) {
         sim.uplink_ends.resize(shard_count);
         sim.uplink_depth_last.assign(shard_count, -1);
+        if (sim.trace != nullptr)
+            for (std::uint32_t s = 0; s < shard_count; ++s)
+                sim.uplink_tracks.push_back("uplink r" +
+                                            std::to_string(s));
         sim.blacklist_since.assign(cluster.slaves, -1.0);
     }
     if (sim.metrics != nullptr)
@@ -1997,7 +2018,7 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
     if (sim.armed) {
         const fault::FaultPlan& plan = sim.plan;
         if (plan.node_crash_time_s >= 0.0) {
-            engine.seed_event(sim.topo.rack_of(plan.crash_node),
+            engine.seed_event(sim.node_rack[plan.crash_node],
                               plan.node_crash_time_s, kEvNodeCrash,
                               plan.crash_node);
             sim.last_fault_time =

@@ -16,16 +16,41 @@ namespace dcb::mapreduce {
 
 namespace {
 
-/** Min-heap order on (time, seq): the deterministic local order. */
+/** (time, seq): the deterministic local order. seq is unique within a
+    shard, so the order is total. */
+struct EventBefore
+{
+    bool operator()(const ShardEvent& a, const ShardEvent& b) const
+    {
+        return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    }
+};
+
+/** Min-heap order under EventBefore, for the lane heaps. */
 struct EventAfter
 {
     bool operator()(const ShardEvent& a, const ShardEvent& b) const
     {
-        if (a.time != b.time)
-            return a.time > b.time;
-        return a.seq > b.seq;
+        return EventBefore{}(b, a);
     }
 };
+
+ShardEvent
+make_event(double time, std::uint64_t seq, std::uint32_t kind,
+           std::uint32_t a, std::uint32_t b, std::uint32_t c,
+           std::uint32_t d, double x)
+{
+    ShardEvent ev;
+    ev.time = time;
+    ev.seq = seq;
+    ev.kind = kind;
+    ev.a = a;
+    ev.b = b;
+    ev.c = c;
+    ev.d = d;
+    ev.x = x;
+    return ev;
+}
 
 double
 seconds_since(std::chrono::steady_clock::time_point start)
@@ -50,11 +75,33 @@ spin_until(const Pred& ready)
 
 }  // namespace
 
-/** One shard: queue, outbox, RNG stream and counters, all private. */
-struct EngineShard
+/**
+ * One shard: queue, outbox, RNG stream and counters, all private.
+ *
+ * The queue is one unsorted vector plus its earliest time. At epoch
+ * start the due events (time < epoch end) move to the front and are
+ * sorted by (time, seq) into the epoch's run; while the run drains, a
+ * push for a later epoch overwrites a run slot already consumed, and
+ * appends only when none is free.
+ *
+ * Cache-line aligned, like EngineLane: neighbouring shards drain on
+ * different workers and the drain writes its fields on every event, so
+ * a shared line would bounce between cores.
+ */
+struct alignas(64) EngineShard
 {
     std::uint32_t index = 0;
-    std::vector<ShardEvent> heap;  ///< binary heap under EventAfter
+    std::vector<ShardEvent> pending;
+    double t_min = std::numeric_limits<double>::infinity();
+    /** Drain state, valid while a lane drains the shard: the run is
+        pending[0, run_end), run_next is its next unconsumed slot,
+        pending[0, reused) hold later events written over consumed
+        run slots, and next_min is the earliest time of the events
+        that stay pending after the epoch. */
+    std::size_t run_end = 0;
+    std::size_t run_next = 0;
+    std::size_t reused = 0;
+    double next_min = std::numeric_limits<double>::infinity();
     std::vector<ShardMessage> outbox;
     util::Rng rng{0};
     std::uint64_t next_seq = 0;
@@ -64,6 +111,26 @@ struct EngineShard
         simulated time of the last event run this epoch (-1 = idle). */
     std::uint64_t epoch_mark = 0;
     double last_event_s = -1.0;
+
+    /** Queue an event outside a drain (seeding, coordinator). */
+    void append(const ShardEvent& ev)
+    {
+        pending.push_back(ev);
+        t_min = std::min(t_min, ev.time);
+    }
+};
+
+/**
+ * One worker lane's heap of same-epoch pushes (time < epoch end), which
+ * the drain merges with the sorted run. Only the shard being drained
+ * uses it and the drain empties it, so one heap per lane suffices.
+ */
+struct alignas(64) EngineLane
+{
+    std::vector<ShardEvent> heap;  ///< binary heap under EventAfter
+    /** This epoch's claims on the lane's home shards (lane, lane +
+        lanes, ...), by the lane itself or by a thief. */
+    std::atomic<std::uint32_t> claimed{0};
 };
 
 struct ShardedEngine::Impl
@@ -80,17 +147,20 @@ ShardApi::push(double time, std::uint32_t kind, std::uint32_t a,
     auto* shard = static_cast<EngineShard*>(shard_);
     DCB_EXPECTS_MSG(time >= now_,
                     "shard event scheduled into the past");
-    ShardEvent ev;
-    ev.time = time;
-    ev.seq = shard->next_seq++;
-    ev.kind = kind;
-    ev.a = a;
-    ev.b = b;
-    ev.c = c;
-    ev.d = d;
-    ev.x = x;
-    shard->heap.push_back(ev);
-    std::push_heap(shard->heap.begin(), shard->heap.end(), EventAfter{});
+    const ShardEvent ev =
+        make_event(time, shard->next_seq++, kind, a, b, c, d, x);
+    if (time < epoch_end_) {
+        std::vector<ShardEvent>& heap =
+            static_cast<EngineLane*>(lane_)->heap;
+        heap.push_back(ev);
+        std::push_heap(heap.begin(), heap.end(), EventAfter{});
+        return;
+    }
+    shard->next_min = std::min(shard->next_min, time);
+    if (shard->reused < shard->run_next)
+        shard->pending[shard->reused++] = ev;
+    else
+        shard->pending.push_back(ev);
 }
 
 void
@@ -132,17 +202,7 @@ Coordinator::push(std::uint32_t shard, double time, std::uint32_t kind,
     DCB_EXPECTS_MSG(time >= barrier_,
                     "coordinator event scheduled before the barrier");
     EngineShard& sh = impl->shards[shard];
-    ShardEvent ev;
-    ev.time = time;
-    ev.seq = sh.next_seq++;
-    ev.kind = kind;
-    ev.a = a;
-    ev.b = b;
-    ev.c = c;
-    ev.d = d;
-    ev.x = x;
-    sh.heap.push_back(ev);
-    std::push_heap(sh.heap.begin(), sh.heap.end(), EventAfter{});
+    sh.append(make_event(time, sh.next_seq++, kind, a, b, c, d, x));
 }
 
 ShardedEngine::ShardedEngine(std::uint32_t shards, double lookahead_s,
@@ -179,17 +239,7 @@ ShardedEngine::seed_event(std::uint32_t shard, double time,
     DCB_EXPECTS(shard < impl_->shards.size());
     DCB_EXPECTS(!impl_->ran);
     EngineShard& sh = impl_->shards[shard];
-    ShardEvent ev;
-    ev.time = time;
-    ev.seq = sh.next_seq++;
-    ev.kind = kind;
-    ev.a = a;
-    ev.b = b;
-    ev.c = c;
-    ev.d = d;
-    ev.x = x;
-    sh.heap.push_back(ev);
-    std::push_heap(sh.heap.begin(), sh.heap.end(), EventAfter{});
+    sh.append(make_event(time, sh.next_seq++, kind, a, b, c, d, x));
 }
 
 EngineResult
@@ -209,36 +259,91 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
 
     // Drain one shard through the epoch; private state only, so any
     // worker may claim any shard in any order with the same outcome.
-    // `worker` identifies the claiming lane (0 = coordinator) purely
-    // for the host-side steal tally.
+    // `worker` is the claiming lane (0 = coordinator): it picks the
+    // lane heap and feeds the host-side steal tally.
+    std::vector<EngineLane> lanes(workers);
     const auto process_shard = [&](unsigned worker, std::uint32_t s,
                                    double epoch_end) {
         EngineShard& sh = impl_->shards[s];
-        if (sh.heap.empty() || sh.heap.front().time >= epoch_end)
+        if (sh.t_min >= epoch_end)
             return;
         if (workers > 1 && worker != s % workers)
             ++sh.stats.steals;
         const auto t0 = std::chrono::steady_clock::now();
-        ShardApi api(&sh);
+        // One pass splits off the due events and finds the earliest
+        // time of the rest (std::partition tests each event once).
+        std::vector<ShardEvent>& pending = sh.pending;
+        double rest_min = std::numeric_limits<double>::infinity();
+        const auto due_end = std::partition(
+            pending.begin(), pending.end(), [&](const ShardEvent& ev) {
+                if (ev.time < epoch_end)
+                    return true;
+                rest_min = std::min(rest_min, ev.time);
+                return false;
+            });
+        sh.next_min = rest_min;
+        std::sort(pending.begin(), due_end, EventBefore{});
+        sh.run_end = static_cast<std::size_t>(due_end - pending.begin());
+        sh.run_next = 0;
+        sh.reused = 0;
+
+        // Merge the run with the lane heap of same-epoch pushes; both
+        // are in (time, seq) order, so this is the order one heap over
+        // every due event would pop.
+        std::vector<ShardEvent>& heap = lanes[worker].heap;
+        ShardApi api(&sh, &lanes[worker]);
         api.epoch_end_ = epoch_end;
-        do {
-            std::pop_heap(sh.heap.begin(), sh.heap.end(), EventAfter{});
-            const ShardEvent ev = sh.heap.back();
-            sh.heap.pop_back();
+        for (;;) {
+            ShardEvent ev;
+            if (sh.run_next < sh.run_end &&
+                (heap.empty() ||
+                 EventBefore{}(pending[sh.run_next], heap.front()))) {
+                ev = pending[sh.run_next++];
+            } else if (!heap.empty()) {
+                std::pop_heap(heap.begin(), heap.end(), EventAfter{});
+                ev = heap.back();
+                heap.pop_back();
+            } else {
+                break;
+            }
             api.now_ = ev.time;
             on_event(s, ev, api);
             ++sh.stats.events_processed;
-        } while (!sh.heap.empty() && sh.heap.front().time < epoch_end);
+        }
+        // Drop the consumed slots that were not reused. The order of
+        // `pending` does not matter, so the last events fill the gap.
+        const std::size_t gap = sh.run_end - sh.reused;
+        const std::size_t moved =
+            std::min(gap, pending.size() - sh.run_end);
+        std::copy(pending.end() - static_cast<std::ptrdiff_t>(moved),
+                  pending.end(),
+                  pending.begin() + static_cast<std::ptrdiff_t>(sh.reused));
+        pending.resize(pending.size() - gap);
+        sh.run_end = sh.run_next = sh.reused = 0;
+        sh.t_min = sh.next_min;
         sh.last_event_s = api.now_;
         sh.stats.busy_seconds += seconds_since(t0);
     };
 
+    // Lane w drains its home shards first, then steals from the other
+    // lanes' home lists in turn. Keeping a shard on one lane from epoch
+    // to epoch keeps its queue and attempts in that core's cache.
+    const auto claim_and_drain = [&](unsigned w, double epoch_end) {
+        for (unsigned k = 0; k < workers; ++k) {
+            const unsigned v = (w + k) % workers;
+            for (std::uint32_t s;
+                 (s = v + workers * lanes[v].claimed.fetch_add(
+                                        1, std::memory_order_relaxed)) <
+                 shard_total;)
+                process_shard(w, s, epoch_end);
+        }
+    };
+
     // Generation barrier shared with the parked pool workers. The
-    // coordinator writes epoch_end then bumps `generation` (release);
-    // workers observe the bump (acquire), claim shards through
-    // `next_shard`, and check in on `workers_done`.
+    // coordinator resets the claims, writes epoch_end, then bumps
+    // `generation` (release); workers observe the bump (acquire), claim
+    // shards and check in on `workers_done`.
     std::atomic<std::uint64_t> generation{0};
-    std::atomic<std::uint32_t> next_shard{0};
     std::atomic<std::uint32_t> workers_done{0};
     std::atomic<bool> stopping{false};
     std::atomic<bool> worker_failed{false};
@@ -263,20 +368,16 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
                     seen = generation.load(std::memory_order_acquire);
                     const double end = epoch_end_shared;
                     try {
-                        for (std::uint32_t s;
-                             (s = next_shard.fetch_add(
-                                  1, std::memory_order_relaxed)) <
-                             shard_total;)
-                            process_shard(w + 1, s, end);
+                        claim_and_drain(w + 1, end);
                     } catch (...) {
                         bool expected = false;
                         if (worker_failed.compare_exchange_strong(
                                 expected, true))
                             worker_error = std::current_exception();
-                        while (next_shard.fetch_add(
-                                   1, std::memory_order_relaxed) <
-                               shard_total) {
-                        }
+                        // Leave nothing for the other lanes to claim.
+                        for (EngineLane& lane : lanes)
+                            lane.claimed.store(shard_total,
+                                               std::memory_order_relaxed);
                     }
                     workers_done.fetch_add(1,
                                            std::memory_order_acq_rel);
@@ -293,13 +394,11 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
         }
         epoch_end_shared = epoch_end;
         workers_done.store(0, std::memory_order_relaxed);
-        next_shard.store(0, std::memory_order_relaxed);
+        for (EngineLane& lane : lanes)
+            lane.claimed.store(0, std::memory_order_relaxed);
         generation.fetch_add(1, std::memory_order_release);
         // The coordinating thread is a worker too.
-        for (std::uint32_t s; (s = next_shard.fetch_add(
-                                   1, std::memory_order_relaxed)) <
-                              shard_total;)
-            process_shard(0, s, epoch_end);
+        claim_and_drain(0, epoch_end);
         spin_until([&] {
             return workers_done.load(std::memory_order_acquire) ==
                    extra_workers;
@@ -379,8 +478,7 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
         while (keep_going) {
             double t_min = std::numeric_limits<double>::infinity();
             for (const EngineShard& sh : impl_->shards)
-                if (!sh.heap.empty())
-                    t_min = std::min(t_min, sh.heap.front().time);
+                t_min = std::min(t_min, sh.t_min);
             if (!std::isfinite(t_min))
                 break;  // drained, and the coordinator had its say
             const double epoch_end =

@@ -23,6 +23,16 @@
  *     every local event with time < (floor(t_min / L) + 1) * L. Empty
  *     grid cells are skipped wholesale, so sparse phases cost nothing.
  *
+ *   - Epoch-sorted queues. A shard's queue is an unsorted vector plus
+ *     its earliest time, so pushes before an epoch are appends. At
+ *     epoch start the shard's due events are partitioned to the front
+ *     and sorted by (time, seq) -- a total order, since seq is unique
+ *     within a shard -- and the drain merges that run with a heap of
+ *     the epoch's own same-epoch pushes. The heap belongs to the worker
+ *     lane (it is empty between drains); pushes for later epochs reuse
+ *     the run's consumed slots before they append. Events run in the
+ *     order one (time, seq) heap per shard would pop them.
+ *
  *   - Deterministic merge. Messages emitted during an epoch carry
  *     (emit time, source shard, per-shard sequence). A shard sends in
  *     nondecreasing time within an epoch, so each outbox is already in
@@ -35,9 +45,11 @@
  *
  * Workers rendezvous on a generation barrier: run() parks one task per
  * worker on a util::ThreadPool once, and each epoch is published with a
- * single atomic generation bump. Shards are claimed with a work-stealing
- * index, so per-epoch overhead is a few atomics per worker rather than a
- * queue round-trip per shard.
+ * single atomic generation bump. Each worker lane first claims its home
+ * shards (shard % lanes, one atomic counter per lane), so a shard stays
+ * in one core's cache from epoch to epoch, then steals from the other
+ * lanes' counters; per-epoch overhead is a few atomics per worker rather
+ * than a queue round-trip per shard.
  */
 
 #include <cstdint>
@@ -89,8 +101,8 @@ struct ShardStats
         inside this shard's event handlers. */
     double busy_seconds = 0.0;
     /** Host-side: epochs in which this shard was drained by a worker
-        other than its round-robin home (shard % workers) -- how often
-        the work-stealing claim index rebalanced it. 0 on serial runs. */
+        other than its home (shard % workers) -- how often a lane that
+        ran out of home shards stole it. 0 on serial runs. */
     std::uint64_t steals = 0;
 };
 
@@ -151,8 +163,9 @@ class ShardApi
 
   private:
     friend class ShardedEngine;
-    explicit ShardApi(void* shard) : shard_(shard) {}
+    ShardApi(void* shard, void* lane) : shard_(shard), lane_(lane) {}
     void* shard_;            ///< engine-internal Shard
+    void* lane_;             ///< engine-internal worker lane
     double now_ = 0.0;
     double epoch_end_ = 0.0;
 };

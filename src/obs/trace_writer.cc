@@ -57,17 +57,23 @@ TraceWriter::intern(std::string_view s)
     return off;
 }
 
+TraceWriter::Record&
+TraceWriter::append()
+{
+    if (chunks_.empty() || chunks_.back().size() == kChunkEvents) {
+        chunks_.emplace_back();
+        chunks_.back().reserve(kChunkEvents);
+    }
+    return chunks_.back().emplace_back();
+}
+
 void
 TraceWriter::push(std::string_view name, std::string_view cat, char ph,
                   std::uint32_t pid, std::uint64_t tid, double ts_us,
                   double dur_us, std::string_view args_json)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (chunks_.empty() || chunks_.back().size() == kChunkEvents) {
-        chunks_.emplace_back();
-        chunks_.back().reserve(kChunkEvents);
-    }
-    Record& r = chunks_.back().emplace_back();
+    Record& r = append();
     r.name_off = intern(name);
     r.name_len = static_cast<std::uint16_t>(name.size());
     r.cat_off = intern(cat);
@@ -107,27 +113,18 @@ TraceWriter::instants(std::string_view name, std::string_view cat,
     if (n == 0)
         return;
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint32_t name_off = intern(name);
-    const std::uint32_t cat_off = intern(cat);
-    const std::uint32_t args_off = intern({});
-    for (std::size_t i = 0; i < n; ++i) {
-        if (chunks_.empty() || chunks_.back().size() == kChunkEvents) {
-            chunks_.emplace_back();
-            chunks_.back().reserve(kChunkEvents);
-        }
-        Record& r = chunks_.back().emplace_back();
-        r.name_off = name_off;
-        r.name_len = static_cast<std::uint16_t>(name.size());
-        r.cat_off = cat_off;
-        r.cat_len = static_cast<std::uint16_t>(cat.size());
-        r.args_off = args_off;
-        r.args_len = 0;
-        r.pid = static_cast<std::uint8_t>(pid);
-        r.ph = 'i';
-        r.tid = static_cast<std::uint32_t>(tids[i]);
-        r.ts_us = ts_us;
-        r.dur_us = 0.0;
-    }
+    Record& r = append();
+    r.name_off = intern(name);
+    r.name_len = static_cast<std::uint16_t>(name.size());
+    r.cat_off = intern(cat);
+    r.cat_len = static_cast<std::uint16_t>(cat.size());
+    r.pid = static_cast<std::uint8_t>(pid);
+    r.ph = 'i';
+    r.tid = static_cast<std::uint32_t>(burst_tids_.size());
+    r.burst = static_cast<std::uint32_t>(n);
+    r.ts_us = ts_us;
+    r.dur_us = 0.0;
+    burst_tids_.insert(burst_tids_.end(), tids, tids + n);
     event_count_ += n;
 }
 
@@ -136,9 +133,9 @@ TraceWriter::counter(std::string_view name, std::string_view cat,
                      std::uint32_t pid, std::uint64_t tid, double ts_us,
                      std::string_view series, double value)
 {
-    const std::string args = "{" + json_quote(std::string(series)) +
-                             ": " + json_double(value) + "}";
-    push(name, cat, 'C', pid, tid, ts_us, 0.0, args);
+    // Stored raw (series interned, value in dur_us) and rendered as
+    // args {"<series>": <value>} by to_json: no formatting per sample.
+    push(name, cat, 'C', pid, tid, ts_us, value, series);
 }
 
 void
@@ -173,7 +170,7 @@ TraceWriter::count_category(std::string_view cat) const
     for (const std::vector<Record>& chunk : chunks_)
         for (const Record& r : chunk)
             if (arena_view(r.cat_off, r.cat_len) == cat)
-                ++n;
+                n += r.burst > 0 ? r.burst : 1;
     return n;
 }
 
@@ -183,30 +180,40 @@ TraceWriter::to_json() const
     std::lock_guard<std::mutex> lock(mutex_);
     std::string out = "{\"traceEvents\": [\n";
     std::size_t i = 0;
+    const auto render = [&](const Record& r, std::uint32_t tid) {
+        out += "  {\"name\": " +
+               json_quote(std::string(arena_view(r.name_off, r.name_len)));
+        if (r.cat_len > 0)
+            out += ", \"cat\": " +
+                   json_quote(std::string(arena_view(r.cat_off, r.cat_len)));
+        out += ", \"ph\": \"";
+        out += r.ph;
+        out += "\", \"ts\": " + json_double(r.ts_us);
+        if (r.ph == 'X')
+            out += ", \"dur\": " + json_double(r.dur_us);
+        if (r.ph == 'i')
+            out += ", \"s\": \"t\"";  // instant scope: thread
+        out += ", \"pid\": " + std::to_string(r.pid) +
+               ", \"tid\": " + std::to_string(tid);
+        if (r.ph == 'C') {
+            out += ", \"args\": {" +
+                   json_quote(std::string(arena_view(r.args_off, r.args_len))) +
+                   ": " + json_double(r.dur_us) + "}";
+        } else if (r.args_len > 0) {
+            out += ", \"args\": ";
+            out += arena_view(r.args_off, r.args_len);
+        }
+        out += "}";
+        out += ++i < event_count_ ? ",\n" : "\n";
+    };
     for (const std::vector<Record>& chunk : chunks_) {
         for (const Record& r : chunk) {
-            out += "  {\"name\": " +
-                   json_quote(std::string(arena_view(r.name_off,
-                                                     r.name_len)));
-            if (r.cat_len > 0)
-                out += ", \"cat\": " +
-                       json_quote(std::string(arena_view(r.cat_off,
-                                                         r.cat_len)));
-            out += ", \"ph\": \"";
-            out += r.ph;
-            out += "\", \"ts\": " + json_double(r.ts_us);
-            if (r.ph == 'X')
-                out += ", \"dur\": " + json_double(r.dur_us);
-            if (r.ph == 'i')
-                out += ", \"s\": \"t\"";  // instant scope: thread
-            out += ", \"pid\": " + std::to_string(r.pid) +
-                   ", \"tid\": " + std::to_string(r.tid);
-            if (r.args_len > 0) {
-                out += ", \"args\": ";
-                out += arena_view(r.args_off, r.args_len);
+            if (r.burst == 0) {
+                render(r, r.tid);
+                continue;
             }
-            out += "}";
-            out += ++i < event_count_ ? ",\n" : "\n";
+            for (std::uint32_t k = 0; k < r.burst; ++k)
+                render(r, burst_tids_[r.tid + k]);
         }
     }
     out += "]}\n";

@@ -70,7 +70,9 @@ class TraceWriter
      * timestamp, appended under a single lock. This is the fair-share
      * grant burst: every grant in a barrier lands at the barrier time,
      * so batching turns ~10^5 locked pushes per run into one per
-     * barrier.
+     * barrier. The burst is stored as one record plus its tids (4
+     * bytes each, not a 48-byte record per instant) and renders exactly
+     * as the same instants pushed one by one.
      */
     void instants(std::string_view name, std::string_view cat,
                   std::uint32_t pid, double ts_us,
@@ -79,7 +81,8 @@ class TraceWriter
     /**
      * Counter event (a sampled value the trace UI plots as a track):
      * `series` names the plotted variable inside the counter `name`.
-     * Used for the cluster's uplink queue-depth tracks.
+     * Used for the cluster's uplink queue-depth tracks. The value is
+     * kept as a double and formatted only by to_json.
      */
     void counter(std::string_view name, std::string_view cat,
                  std::uint32_t pid, std::uint64_t tid, double ts_us,
@@ -102,7 +105,9 @@ class TraceWriter
 
   private:
     /** One event; text fields are [offset, offset+len) into arena_.
-        48 bytes, trivially copyable. */
+        48 bytes, trivially copyable. A burst of `burst` > 0 instants
+        keeps their tids in burst_tids_[tid, tid + burst). A counter
+        ('C') keeps its series name in args and its value in dur_us. */
     struct Record
     {
         std::uint32_t name_off = 0;
@@ -115,8 +120,9 @@ class TraceWriter
         char ph = 'X';  ///< X complete, i instant, C counter, M metadata
         std::uint8_t pad_[2] = {0, 0};
         std::uint32_t tid = 0;
+        std::uint32_t burst = 0;
         double ts_us = 0.0;
-        double dur_us = 0.0;  ///< complete events only
+        double dur_us = 0.0;  ///< complete: duration; counter: value
     };
 
     /** Append `s` to arena_ and return its offset (lock held). Repeat
@@ -124,6 +130,8 @@ class TraceWriter
         "sched" at every fair-share grant) hit a tiny pointer-keyed
         cache and share one arena entry. */
     std::uint32_t intern(std::string_view s);
+    /** A new default record at the end of the last chunk (lock held). */
+    Record& append();
     void push(std::string_view name, std::string_view cat, char ph,
               std::uint32_t pid, std::uint64_t tid, double ts_us,
               double dur_us, std::string_view args_json);
@@ -148,6 +156,7 @@ class TraceWriter
     /** Events in fixed-size chunks: appends never relocate records. */
     static constexpr std::size_t kChunkEvents = 16384;
     std::vector<std::vector<Record>> chunks_;
+    std::vector<std::uint32_t> burst_tids_;
     std::size_t event_count_ = 0;
     std::uint64_t epoch_ns_ = 0;  ///< steady_clock at construction
 };

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -234,6 +235,63 @@ TEST(TraceWriter, EscapesNamesAndValidatesStructure)
     EXPECT_EQ(trace.size(), 3u);
     EXPECT_EQ(trace.count_category("marks"), 1u);
     EXPECT_EQ(trace.count_category("absent"), 0u);
+}
+
+/** A burst of instants renders exactly as the same instants pushed one
+    by one, between other events, and counts as one event per tid. */
+TEST(TraceWriter, InstantBurstMatchesSingleInstants)
+{
+    const std::uint64_t tids[] = {910003, 910000, 910003, 910015};
+    obs::TraceWriter burst;
+    obs::TraceWriter single;
+    for (obs::TraceWriter* trace : {&burst, &single}) {
+        trace->complete("epoch 0", "epoch", obs::TraceWriter::kClusterPid,
+                        930000, 0.0, 3e6, "{\"events\": 9}");
+    }
+    burst.instants("grant", "sched", obs::TraceWriter::kClusterPid, 3e6,
+                   tids, 4);
+    burst.instants("grant", "sched", obs::TraceWriter::kClusterPid, 4e6,
+                   tids, 0);
+    for (const std::uint64_t tid : tids)
+        single.instant("grant", "sched", obs::TraceWriter::kClusterPid,
+                       tid, 3e6);
+    for (obs::TraceWriter* trace : {&burst, &single})
+        trace->instant("kill", "sched", obs::TraceWriter::kClusterPid,
+                       910001, 3e6);
+    EXPECT_EQ(burst.to_json(), single.to_json());
+    EXPECT_EQ(burst.size(), 6u);
+    EXPECT_EQ(burst.count_category("sched"), 5u);
+    EXPECT_EQ(burst.count_category("epoch"), 1u);
+}
+
+/** A counter sample is stored raw and formatted only by to_json; the
+    rendering (integral, fractional, non-finite values, escaped names)
+    is pinned to what formatting at each call produced. */
+TEST(TraceWriter, CounterRendersAsFormattedArgs)
+{
+    obs::TraceWriter trace;
+    const auto pid = obs::TraceWriter::kClusterPid;
+    trace.counter("uplink r3", "uplink", pid, 920003, 5e6, "depth", 4.0);
+    trace.complete("wait", "barrier-wait", pid, 920003, 5e6, 2.5e5);
+    trace.counter("uplink r3", "uplink", pid, 920003, 6e6, "depth",
+                  1.0 / 3.0);
+    trace.counter("q\"d", "", pid, 7, 7e6, "de\"pth",
+                  std::numeric_limits<double>::quiet_NaN());
+    EXPECT_EQ(
+        trace.to_json(),
+        "{\"traceEvents\": [\n"
+        "  {\"name\": \"uplink r3\", \"cat\": \"uplink\", \"ph\": \"C\", "
+        "\"ts\": 5000000, \"pid\": 2, \"tid\": 920003, "
+        "\"args\": {\"depth\": 4}},\n"
+        "  {\"name\": \"wait\", \"cat\": \"barrier-wait\", \"ph\": \"X\", "
+        "\"ts\": 5000000, \"dur\": 250000, \"pid\": 2, \"tid\": 920003},\n"
+        "  {\"name\": \"uplink r3\", \"cat\": \"uplink\", \"ph\": \"C\", "
+        "\"ts\": 6000000, \"pid\": 2, \"tid\": 920003, "
+        "\"args\": {\"depth\": 0.33333333333333331}},\n"
+        "  {\"name\": \"q\\\"d\", \"ph\": \"C\", \"ts\": 7000000, "
+        "\"pid\": 2, \"tid\": 7, \"args\": {\"de\\\"pth\": 0}}\n"
+        "]}\n");
+    EXPECT_EQ(trace.size(), 4u);
 }
 
 TEST(TraceWriter, WritesAFileAndTimeAdvances)

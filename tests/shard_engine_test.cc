@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -190,6 +195,213 @@ TEST(ShardEngineDeathTest, SendBackInTimeIsRejected)
                 1);
         },
         "out of time order");
+}
+
+// ---- Queue order against a reference heap ----------------------------
+
+/** One processed event: its time, its seq and the end of its epoch. */
+struct Processed
+{
+    double time;
+    std::uint64_t seq;
+    double epoch_end;
+    bool operator==(const Processed&) const = default;
+};
+
+/** A push planned by a handler or by the barrier. */
+struct PlannedPush
+{
+    double time;
+    std::uint32_t depth;
+};
+
+constexpr std::uint32_t kOrderShards = 4;
+/** Times sit on a 1/8 grid of the unit lookahead, so equal times and
+    pushes at exactly the epoch end are common, and the sums are exact. */
+constexpr double kOrderGrid = 0.125;
+constexpr std::uint64_t kOrderBarrierPushes = 40;
+
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+/**
+ * The pushes an event makes, a pure function of (seed, shard, seq, time,
+ * depth) so the engine's handler and the reference model agree: up to
+ * two same-epoch pushes (at the event's own time or a later grid step
+ * below the epoch end), then either none or three pushes at or after
+ * the epoch end (the first can reuse a consumed slot, the others
+ * append). Depth bounds the tree.
+ */
+std::vector<PlannedPush>
+planned_pushes(std::uint64_t seed, std::uint32_t shard, double time,
+               std::uint64_t seq, std::uint32_t depth, double epoch_end)
+{
+    std::vector<PlannedPush> out;
+    if (depth == 0)
+        return out;
+    std::uint64_t h = mix64(seed ^ mix64((std::uint64_t{shard} << 40) ^ seq));
+    const auto steps =
+        static_cast<std::uint64_t>((epoch_end - time) / kOrderGrid);
+    for (std::uint64_t i = steps > 0 ? h % 3 : 0; i > 0; --i) {
+        h = mix64(h);
+        out.push_back({time + static_cast<double>(h % steps) * kOrderGrid,
+                       depth - 1});
+    }
+    h = mix64(h);
+    if (h % 2 == 0)
+        return out;
+    for (int i = 0; i < 3; ++i) {
+        h = mix64(h);
+        out.push_back(
+            {epoch_end + static_cast<double>(h % 12) * kOrderGrid,
+             depth - 1});
+    }
+    return out;
+}
+
+/** The barrier's pushes at its `call`-th invocation (0 = initial pass). */
+std::vector<std::pair<std::uint32_t, PlannedPush>>
+barrier_pushes(std::uint64_t seed, std::uint64_t call, double barrier)
+{
+    std::vector<std::pair<std::uint32_t, PlannedPush>> out;
+    if (call >= kOrderBarrierPushes)
+        return out;
+    std::uint64_t h = mix64(seed ^ (call << 20));
+    for (std::uint64_t i = h % 4; i > 0; --i) {
+        h = mix64(h);
+        out.push_back({static_cast<std::uint32_t>(h % kOrderShards),
+                       {barrier + static_cast<double>(h % 16) * kOrderGrid,
+                        3}});
+    }
+    return out;
+}
+
+std::vector<std::vector<Processed>>
+engine_order(std::uint64_t seed, unsigned threads)
+{
+    ShardedEngine engine(kOrderShards, 1.0, seed);
+    for (std::uint32_t s = 0; s < kOrderShards; ++s)
+        for (std::uint32_t i = 0; i < 6; ++i)
+            engine.seed_event(s, static_cast<double>(i % 3) * kOrderGrid, 0,
+                              5);
+    std::vector<std::vector<Processed>> order(kOrderShards);
+    std::uint64_t calls = 0;
+    engine.run(
+        [&](std::uint32_t shard, const ShardEvent& ev, ShardApi& api) {
+            order[shard].push_back({ev.time, ev.seq, api.epoch_end()});
+            for (const PlannedPush& p :
+                 planned_pushes(seed, shard, ev.time, ev.seq, ev.a,
+                                api.epoch_end()))
+                api.push(p.time, 0, p.depth);
+        },
+        [&](double barrier, const std::vector<ShardMessage>&,
+            Coordinator& co) {
+            for (const auto& [shard, p] : barrier_pushes(seed, calls++,
+                                                         barrier))
+                co.push(shard, p.time, 0, p.depth);
+            return true;
+        },
+        threads);
+    return order;
+}
+
+/** Coverage of the reference run: the cases the test must exercise. */
+struct OrderCoverage
+{
+    std::uint64_t same_epoch = 0;  ///< pushes below the epoch end
+    std::uint64_t at_end = 0;      ///< pushes at exactly the epoch end
+    std::uint64_t ties = 0;        ///< events at their predecessor's time
+};
+
+/** The old engine's semantics: one (time, seq) min-heap per shard,
+    drained below the epoch end on the lookahead grid. */
+std::vector<std::vector<Processed>>
+reference_order(std::uint64_t seed, OrderCoverage* coverage)
+{
+    struct Ev
+    {
+        double time;
+        std::uint64_t seq;
+        std::uint32_t depth;
+        bool operator>(const Ev& o) const
+        {
+            return time != o.time ? time > o.time : seq > o.seq;
+        }
+    };
+    using Queue = std::priority_queue<Ev, std::vector<Ev>, std::greater<>>;
+    std::vector<Queue> queues(kOrderShards);
+    std::vector<std::uint64_t> next_seq(kOrderShards, 0);
+    const auto push = [&](std::uint32_t s, double time, std::uint32_t depth) {
+        queues[s].push({time, next_seq[s]++, depth});
+    };
+    for (std::uint32_t s = 0; s < kOrderShards; ++s)
+        for (std::uint32_t i = 0; i < 6; ++i)
+            push(s, static_cast<double>(i % 3) * kOrderGrid, 5);
+    std::vector<std::vector<Processed>> order(kOrderShards);
+    std::uint64_t calls = 0;
+    for (const auto& [shard, p] : barrier_pushes(seed, calls++, 0.0))
+        push(shard, p.time, p.depth);
+    for (;;) {
+        double t_min = std::numeric_limits<double>::infinity();
+        for (const Queue& q : queues)
+            if (!q.empty())
+                t_min = std::min(t_min, q.top().time);
+        if (!std::isfinite(t_min))
+            break;
+        const double end = std::floor(t_min) + 1.0;
+        for (std::uint32_t s = 0; s < kOrderShards; ++s) {
+            while (!queues[s].empty() && queues[s].top().time < end) {
+                const Ev ev = queues[s].top();
+                queues[s].pop();
+                if (!order[s].empty() && order[s].back().time == ev.time)
+                    ++coverage->ties;
+                order[s].push_back({ev.time, ev.seq, end});
+                for (const PlannedPush& p :
+                     planned_pushes(seed, s, ev.time, ev.seq, ev.depth,
+                                    end)) {
+                    coverage->same_epoch += p.time < end;
+                    coverage->at_end += p.time == end;
+                    push(s, p.time, p.depth);
+                }
+            }
+        }
+        for (const auto& [shard, p] : barrier_pushes(seed, calls++, end))
+            push(shard, p.time, p.depth);
+    }
+    return order;
+}
+
+/**
+ * The epoch-sorted queue pops in exactly the order a per-shard binary
+ * heap would: seeded random handler pushes (same-epoch, equal times,
+ * exactly at the epoch end, none or three later ones) and coordinator
+ * pushes at the barriers, checked event by event against a reference
+ * model on 1 and 4 threads.
+ */
+TEST(ShardEngine, QueueOrderMatchesReferenceHeap)
+{
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+        OrderCoverage coverage;
+        const auto want = reference_order(seed, &coverage);
+        EXPECT_GT(coverage.same_epoch, 100u) << seed;
+        EXPECT_GT(coverage.at_end, 100u) << seed;
+        EXPECT_GT(coverage.ties, 100u) << seed;
+        for (const unsigned threads : {1u, 4u}) {
+            const auto got = engine_order(seed, threads);
+            for (std::uint32_t s = 0; s < kOrderShards; ++s) {
+                ASSERT_GT(want[s].size(), 500u) << seed << " " << s;
+                EXPECT_TRUE(got[s] == want[s])
+                    << "seed " << seed << " shard " << s << " threads "
+                    << threads;
+            }
+        }
+    }
 }
 
 /** Per-shard streams: reproducible per stream id, distinct across ids. */
@@ -444,6 +656,45 @@ TEST(MultiJob, ValidationErrorsAreReported)
     EXPECT_NE(bad_weight.error.find("weight"), std::string::npos);
 }
 
+/**
+ * The grant pass's deficit pick, on 7 nodes with 3 map slots and 1
+ * reduce slot each. Jobs 0 and 1 (16 maps, 7 reduces) reach their
+ * reduce phase at the 12 s barrier, where jobs 2 and 3 (64 maps, from
+ * 3 s) start a map wave. All weights are 1 and nothing runs, so the
+ * shares tie and grants go round robin from the lowest index. The 7
+ * reduce slots run out in the middle of the pass: job 1's placement
+ * fails at 3 running, then job 0's at 4, and the pass goes on granting
+ * maps to jobs 2 and 3 without picking those two again. Ties to the
+ * highest index would give job 1 the fourth reduce and move every
+ * count and finish time below.
+ */
+TEST(MultiJob, GrantPickTiesToLowestIndexAndSkipsStalledJobs)
+{
+    ClusterConfig cluster;
+    cluster.slaves = 7;
+    cluster.racks = 2;
+    cluster.map_slots = 3;
+    cluster.reduce_slots = 1;
+    std::vector<JobSubmission> subs(4);
+    for (std::uint32_t j = 0; j < subs.size(); ++j) {
+        subs[j].spec = small_job("grant", j < 2 ? 1.0 : 4.0);
+        subs[j].submit_time_s = j < 2 ? 0.0 : 3.0;
+    }
+    const MultiJobResult result = MultiJobScheduler().run(subs, cluster);
+    ASSERT_TRUE(result.all_completed()) << result.error;
+    const std::uint64_t local[] = {15, 15, 61, 58};
+    const std::uint64_t remote[] = {1, 1, 3, 6};
+    const double first[] = {0.0, 0.0, 6.0, 6.0};
+    const double finish[] = {15.185358913921457, 15.185358913921457,
+                             51.741435655685827, 51.741435655685827};
+    for (std::uint32_t j = 0; j < subs.size(); ++j) {
+        const JobOutcome& job = result.jobs[j];
+        EXPECT_EQ(job.local_map_launches, local[j]) << j;
+        EXPECT_EQ(job.remote_map_launches, remote[j]) << j;
+        EXPECT_EQ(job.first_launch_s, first[j]) << j;
+        EXPECT_EQ(job.finish_s, finish[j]) << j;
+    }
+}
 
 // ---- Absolute pins ---------------------------------------------------
 
