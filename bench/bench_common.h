@@ -3,12 +3,14 @@
 
 /**
  * @file
- * Shared plumbing for the per-figure bench binaries: a full-suite run
- * with the paper's methodology (Table III machine, ramp-up discard,
- * whole-runtime collection) and helpers to print paper-vs-measured rows.
+ * Shared plumbing for the bench binaries: the shared flag parser, the
+ * observability sinks it arms, and a full-suite run with the paper's
+ * methodology (Table III machine, ramp-up discard, whole-runtime
+ * collection).
  *
- * Usage of every figure bench:
- *   ./figNN_xxx [ops-per-workload] [--ops N] [--jobs N]
+ * Usage of the figure driver (and of every bench that parses its flags
+ * with config_from_args):
+ *   ./figures [ops-per-workload] [--ops N] [--jobs N]
  *               [--sample[=ratio]] [--sample-window N]
  *               [--sample-discard N] [--sample-warmup N]
  *               [--obs-interval N] [--obs-out PREFIX]
@@ -141,7 +143,7 @@ peak_rss_bytes()
     return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024u;
 }
 
-/** Default per-workload op budget for figure benches. */
+/** Default per-workload op budget of config_from_args. */
 inline constexpr std::uint64_t kDefaultBudget = 2'000'000;
 
 /**
@@ -434,21 +436,11 @@ stamp_phase_results(const core::SuiteResult& suite)
                      sinks.phase_path.c_str());
 }
 
-/** Surface per-workload failures without aborting the bench. */
-inline std::vector<cpu::CounterReport>
-reports_or_warn(const core::SuiteResult& suite)
-{
-    for (std::size_t i = 0; i < suite.runs.size(); ++i) {
-        if (!suite.runs[i].status.ok)
-            std::fprintf(stderr, "warning: %s skipped: %s\n",
-                         suite.names[i].c_str(),
-                         suite.runs[i].status.error.c_str());
-    }
-    stamp_phase_results(suite);
-    return suite.reports();
-}
-
-/** Run the full 26-workload suite in figure order. */
+/**
+ * Run the full 26-workload suite in figure order. A workload that fails
+ * is named on stderr and has no report, which fails every paper finding
+ * (core::check_findings) instead of aborting the bench.
+ */
 inline std::vector<cpu::CounterReport>
 run_full_suite(const core::HarnessConfig& config)
 {
@@ -457,39 +449,16 @@ run_full_suite(const core::HarnessConfig& config)
                 workloads::figure_order().size(),
                 static_cast<unsigned long long>(config.run.op_budget),
                 static_cast<unsigned long long>(config.run.warmup_ops));
-    return reports_or_warn(
-        core::run_suite(workloads::figure_order(), config));
-}
-
-/** Run only the eleven data-analysis workloads (Table I order). */
-inline std::vector<cpu::CounterReport>
-run_data_analysis_suite(const core::HarnessConfig& config)
-{
-    return reports_or_warn(core::run_suite(
-        workloads::names_in_category(workloads::Category::kDataAnalysis),
-        config));
-}
-
-/** Paper lookup for a metric field (negative if unavailable). */
-template <typename Getter>
-core::PaperGetter
-paper_field(Getter getter)
-{
-    return [getter](const std::string& name) {
-        const auto m = core::paper_metrics(name);
-        return m ? getter(*m) : -1.0;
-    };
-}
-
-/** Average of a measured metric over a category. */
-inline double
-category_average(const std::vector<cpu::CounterReport>& reports,
-                 workloads::Category category,
-                 const core::MetricGetter& metric)
-{
-    return core::class_average(reports,
-                               workloads::names_in_category(category),
-                               metric);
+    const core::SuiteResult suite =
+        core::run_suite(workloads::figure_order(), config);
+    for (std::size_t i = 0; i < suite.runs.size(); ++i) {
+        if (!suite.runs[i].status.ok)
+            std::fprintf(stderr, "warning: %s skipped: %s\n",
+                         suite.names[i].c_str(),
+                         suite.runs[i].status.error.c_str());
+    }
+    stamp_phase_results(suite);
+    return suite.reports();
 }
 
 }  // namespace dcb::bench

@@ -1,8 +1,8 @@
 /**
  * @file
  * Full-suite characterization: run all 26 workloads (or a category) and
- * print the complete per-workload metric matrix plus the class averages
- * the paper states in its findings.
+ * print the complete per-workload metric matrix plus the verdict of
+ * every paper finding on it.
  *
  *   ./characterize [ops-per-workload] [category]
  *   category: all | data-analysis | service | spec-cpu | hpcc
@@ -86,39 +86,15 @@ main(int argc, char** argv)
     table.print();
 
     if (category == "all") {
-        const auto da = dcb::workloads::names_in_category(
-            dcb::workloads::Category::kDataAnalysis);
-        const auto svc = dcb::workloads::names_in_category(
-            dcb::workloads::Category::kService);
-        auto avg = [&](const std::vector<std::string>& ns,
-                       dcb::core::MetricGetter g) {
-            return dcb::core::class_average(reports, ns, g);
-        };
-        std::printf("\nclass averages (paper reference in parens):\n");
-        std::printf("  DA IPC        %.2f (0.78)\n",
-                    avg(da, [](const auto& r) { return r.ipc; }));
-        std::printf("  DA L1I MPKI   %.1f (23)\n",
-                    avg(da, [](const auto& r) { return r.l1i_mpki; }));
-        std::printf("  DA L2 MPKI    %.1f (11)\n",
-                    avg(da, [](const auto& r) { return r.l2_mpki; }));
-        std::printf("  DA L3 ratio   %.1f%% (85.5%%)\n",
-                    100 * avg(da, [](const auto& r) {
-                        return r.l3_service_ratio;
-                    }));
-        std::printf("  SVC L2 MPKI   %.1f (60)\n",
-                    avg(svc, [](const auto& r) { return r.l2_mpki; }));
-        std::printf("  SVC L3 ratio  %.1f%% (94.9%%)\n",
-                    100 * avg(svc, [](const auto& r) {
-                        return r.l3_service_ratio;
-                    }));
-        std::printf("  DA OoO stalls %.1f%% (57%%)\n",
-                    100 * avg(da, [](const auto& r) {
-                        return r.stalls.out_of_order_part();
-                    }));
-        std::printf("  SVC in-order  %.1f%% (73%%)\n",
-                    100 * avg(svc, [](const auto& r) {
-                        return r.stalls.in_order_part();
-                    }));
+        std::printf("\npaper findings (src/core/findings.cc):\n");
+        const std::vector<bool> held = dcb::core::check_findings(reports);
+        for (std::size_t i = 0; i < held.size(); ++i) {
+            const dcb::core::Finding& f = dcb::core::paper_findings()[i];
+            dcb::core::shape_check(std::string(f.id) + " Figure " +
+                                       std::to_string(f.figure) + ": " +
+                                       f.claim,
+                                   held[i]);
+        }
     }
     return 0;
 }

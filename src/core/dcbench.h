@@ -13,6 +13,7 @@
  */
 
 #include "core/domain_catalog.h"
+#include "core/findings.h"
 #include "core/harness.h"
 #include "core/paper_data.h"
 #include "core/report.h"

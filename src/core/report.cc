@@ -1,6 +1,7 @@
 #include "core/report.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -21,50 +22,40 @@ print_figure_table(const std::string& title,
         for (const auto& report : reports)
             with_stderr = with_stderr || report.sampled;
 
+    // Sampled runs annotate every value with its standard error across
+    // the detailed measurement windows; exact runs keep three columns.
+    std::vector<std::string> header = {"workload",
+                                       metric_header + " (measured)"};
+    std::vector<std::string> csv_header = {"workload", "measured"};
     if (with_stderr) {
-        // Sampled runs: annotate every value with its standard error
-        // across the detailed measurement windows.
-        util::Table table({"workload", metric_header + " (measured)",
-                           "+/- stderr", metric_header + " (paper)"});
-        table.set_title(title);
-        util::CsvWriter csv({"workload", "measured", "stderr", "paper"});
-        for (const auto& report : reports) {
-            const double value = measured(report);
-            const double err =
-                stderr_scale * report.stderr_of(stderr_metric);
-            const double ref = paper ? paper(report.workload) : -1.0;
-            table.add_row({report.workload,
-                           util::format_double(value, decimals),
-                           report.sampled
-                               ? util::format_double(err, decimals + 1)
-                               : "-",
-                           ref >= 0.0
-                               ? util::format_double(ref, decimals)
-                               : "-"});
-            csv.add_row({report.workload, util::format_double(value, 6),
-                         util::format_double(err, 6),
-                         util::format_double(ref, 6)});
-        }
-        table.print();
-        if (!csv_path.empty() && csv.write_file(csv_path))
-            std::printf("(csv: %s)\n", csv_path.c_str());
-        std::printf("\n");
-        return;
+        header.push_back("+/- stderr");
+        csv_header.push_back("stderr");
     }
-
-    util::Table table({"workload", metric_header + " (measured)",
-                       metric_header + " (paper)"});
+    header.push_back(metric_header + " (paper)");
+    csv_header.push_back("paper");
+    util::Table table(std::move(header));
     table.set_title(title);
-    util::CsvWriter csv({"workload", "measured", "paper"});
+    util::CsvWriter csv(std::move(csv_header));
     for (const auto& report : reports) {
         const double value = measured(report);
         const double ref = paper ? paper(report.workload) : -1.0;
-        table.add_row({report.workload,
-                       util::format_double(value, decimals),
-                       ref >= 0.0 ? util::format_double(ref, decimals)
-                                  : "-"});
-        csv.add_row({report.workload, util::format_double(value, 6),
-                     util::format_double(ref, 6)});
+        std::vector<std::string> row = {
+            report.workload, util::format_double(value, decimals)};
+        std::vector<std::string> csv_row = {report.workload,
+                                            util::format_double(value, 6)};
+        if (with_stderr) {
+            const double err =
+                stderr_scale * report.stderr_of(stderr_metric);
+            row.push_back(report.sampled
+                              ? util::format_double(err, decimals + 1)
+                              : "-");
+            csv_row.push_back(util::format_double(err, 6));
+        }
+        row.push_back(ref >= 0.0 ? util::format_double(ref, decimals)
+                                 : "-");
+        csv_row.push_back(util::format_double(ref, 6));
+        table.add_row(std::move(row));
+        csv.add_row(std::move(csv_row));
     }
     table.print();
     if (!csv_path.empty() && csv.write_file(csv_path))

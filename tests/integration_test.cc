@@ -1,14 +1,18 @@
 /**
  * @file End-to-end shape tests: the paper's headline findings (F1-F7 in
  * DESIGN.md) must hold on small-scale harness runs. These are the
- * claims the reproduction is graded on, so they are asserted, not just
- * printed.
+ * claims the reproduction is graded on, so each row of the findings
+ * table (core/findings.h) is asserted, not just printed.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
+#include <initializer_list>
+#include <string>
+#include <vector>
 
+#include "core/findings.h"
 #include "core/harness.h"
 #include "cpu/perf.h"
 #include "workloads/registry.h"
@@ -26,9 +30,8 @@ class ShapeTest : public ::testing::Test
         HarnessConfig config;
         config.run.op_budget = 1'300'000;
         config.run.warmup_ops = 400'000;
-        reports_ = new std::map<std::string, cpu::CounterReport>();
-        for (const auto& name : workloads::figure_order())
-            (*reports_)[name] = run_workload(name, config).report;
+        reports_ = new std::vector<cpu::CounterReport>(
+            run_suite(workloads::figure_order(), config).reports());
     }
 
     static void
@@ -38,201 +41,86 @@ class ShapeTest : public ::testing::Test
         reports_ = nullptr;
     }
 
-    static const cpu::CounterReport&
-    report(const std::string& name)
+    /** Assert every findings row of `id` on `figures`. */
+    static void
+    expect_rows(const char* id, std::initializer_list<int> figures)
     {
-        return reports_->at(name);
+        const std::vector<Finding>& findings = paper_findings();
+        const std::vector<bool> held = check_findings(*reports_);
+        std::size_t rows = 0;
+        for (std::size_t i = 0; i < findings.size(); ++i) {
+            if (std::string(findings[i].id) != id ||
+                std::find(figures.begin(), figures.end(),
+                          findings[i].figure) == figures.end())
+                continue;
+            ++rows;
+            EXPECT_TRUE(held[i]) << "Figure " << findings[i].figure << ": "
+                                 << findings[i].claim;
+        }
+        EXPECT_GT(rows, 0u) << id;
     }
 
-    static double
-    average(workloads::Category category,
-            double (*metric)(const cpu::CounterReport&))
-    {
-        double sum = 0.0;
-        const auto names = workloads::names_in_category(category);
-        for (const auto& name : names)
-            sum += metric(report(name));
-        return sum / static_cast<double>(names.size());
-    }
-
-    static std::map<std::string, cpu::CounterReport>* reports_;
+    static std::vector<cpu::CounterReport>* reports_;
 };
 
-std::map<std::string, cpu::CounterReport>* ShapeTest::reports_ = nullptr;
+std::vector<cpu::CounterReport>* ShapeTest::reports_ = nullptr;
 
-double
-ipc_of(const cpu::CounterReport& r)
-{
-    return r.ipc;
-}
-
-double
-l2_of(const cpu::CounterReport& r)
-{
-    return r.l2_mpki;
-}
-
-double
-l1i_of(const cpu::CounterReport& r)
-{
-    return r.l1i_mpki;
-}
-
-double
-l3_of(const cpu::CounterReport& r)
-{
-    return r.l3_service_ratio;
-}
-
-double
-ooo_of(const cpu::CounterReport& r)
-{
-    return r.stalls.out_of_order_part();
-}
-
-double
-inorder_of(const cpu::CounterReport& r)
-{
-    return r.stalls.in_order_part();
-}
-
-double
-brmiss_of(const cpu::CounterReport& r)
-{
-    return r.branch_misprediction_ratio;
-}
-
-using workloads::Category;
-
-// F1: DA IPC sits between services and compute-bound HPCC.
+// Each paper finding's rows of the table, on the figures they read.
 TEST_F(ShapeTest, F1_IpcOrdering)
 {
-    const double da = average(Category::kDataAnalysis, ipc_of);
-    const double svc = average(Category::kService, ipc_of);
-    EXPECT_GT(da, svc);
-    EXPECT_GT(report("HPCC-DGEMM").ipc, da);
-    EXPECT_GT(report("HPCC-HPL").ipc, da);
-    // The paper: services all below 0.6; DA average ~0.78.
-    EXPECT_LT(svc, 0.75);
-    EXPECT_GT(da, 0.55);
-    EXPECT_LT(da, 1.1);
-    // STREAM is memory-bound, below 0.8 (paper: < 0.5).
-    EXPECT_LT(report("HPCC-STREAM").ipc, 0.85);
+    expect_rows("F1", {3});
 }
-
-// F2: DA stalls mostly in the OoO part; services before it. The paper's
-// service-side claim covers "Media Streaming, Data Severing, Web
-// Severing, Web Search and SPECweb" (Section IV-B) -- Software Testing
-// is excluded there, so it is excluded here too.
-const std::vector<std::string> kRequestServices = {
-    "Media Streaming", "Data Serving", "Web Search", "Web Serving",
-    "SPECWeb"};
 
 TEST_F(ShapeTest, F2_StallBreakdownSplit)
 {
-    auto service_avg = [](double (*metric)(const cpu::CounterReport&)) {
-        double sum = 0.0;
-        for (const auto& name : kRequestServices)
-            sum += metric(report(name));
-        return sum / static_cast<double>(kRequestServices.size());
-    };
-    const double da_ooo = average(Category::kDataAnalysis, ooo_of);
-    const double da_inorder = average(Category::kDataAnalysis,
-                                      inorder_of);
-    const double svc_inorder = service_avg(inorder_of);
-    const double svc_ooo = service_avg(ooo_of);
-    EXPECT_GT(da_ooo, 0.40) << "paper: ~57%";
-    EXPECT_GT(svc_inorder, 0.55) << "paper: ~73%";
-    EXPECT_GT(da_ooo, svc_ooo);
-    EXPECT_GT(svc_inorder, da_inorder);
+    expect_rows("F2", {6});
 }
 
-// F3: front-end pressure: DA and services far above SPEC/HPCC; Bayes is
-// the DA exception; Media Streaming the overall extreme.
 TEST_F(ShapeTest, F3_InstructionFootprint)
 {
-    const double da = average(Category::kDataAnalysis, l1i_of);
-    const double spec = average(Category::kSpecCpu, l1i_of);
-    const double hpcc = average(Category::kHpcc, l1i_of);
-    EXPECT_GT(da, spec * 3);
-    EXPECT_GT(da, hpcc * 3);
-    // Naive Bayes: smallest L1I misses among the eleven (Section IV-C).
-    for (const auto& name :
-         workloads::names_in_category(Category::kDataAnalysis)) {
-        if (name != "Naive Bayes") {
-            EXPECT_LT(report("Naive Bayes").l1i_mpki,
-                      report(name).l1i_mpki)
-                << name;
-        }
-    }
-    // Media Streaming: the largest footprint measured (~3x DA average).
-    EXPECT_GT(report("Media Streaming").l1i_mpki, da * 1.8);
+    expect_rows("F3", {7});
 }
 
-// F3b: ITLB walks follow the same ordering.
 TEST_F(ShapeTest, F3_ItlbWalks)
 {
-    const double da = average(Category::kDataAnalysis,
-                              [](const cpu::CounterReport& r) {
-                                  return r.itlb_walk_pki;
-                              });
-    const double hpcc = average(Category::kHpcc,
-                                [](const cpu::CounterReport& r) {
-                                    return r.itlb_walk_pki;
-                                });
-    EXPECT_GT(da, hpcc);
-    EXPECT_LT(report("Naive Bayes").itlb_walk_pki, da);
+    expect_rows("F3", {8});
 }
 
-// F4: L2 effective for DA (below services), L3 catches most L2 misses.
 TEST_F(ShapeTest, F4_CacheHierarchy)
 {
-    const double da_l2 = average(Category::kDataAnalysis, l2_of);
-    const double svc_l2 = average(Category::kService, l2_of);
-    EXPECT_LT(da_l2, svc_l2);
-    const double da_l3 = average(Category::kDataAnalysis, l3_of);
-    const double svc_l3 = average(Category::kService, l3_of);
-    EXPECT_GT(da_l3, 0.70) << "paper: 85.5%";
-    EXPECT_GT(svc_l3, 0.70) << "paper: 94.9%";
-    // HPCC's streaming/random kernels have the worst L3 service ratios.
-    EXPECT_LT(report("HPCC-STREAM").l3_service_ratio, 0.4);
-    EXPECT_LT(report("HPCC-RandomAccess").l3_service_ratio, 0.7);
+    expect_rows("F4", {9, 10});
 }
 
-// F5: DA branch misprediction below services; HPCC lowest.
+TEST_F(ShapeTest, F4b_DtlbWalks)
+{
+    expect_rows("F4", {11});
+}
+
 TEST_F(ShapeTest, F5_BranchPrediction)
 {
-    const double da = average(Category::kDataAnalysis, brmiss_of);
-    const double svc = average(Category::kService, brmiss_of);
-    const double hpcc = average(Category::kHpcc, brmiss_of);
-    EXPECT_LT(da, svc);
-    EXPECT_LT(hpcc, da);
-    EXPECT_LT(da, report("SPECINT").branch_misprediction_ratio);
+    expect_rows("F5", {12});
 }
 
-// F6: kernel-instruction share: services > 40%, DA small, Sort the DA
-// outlier, RandomAccess the HPCC outlier.
 TEST_F(ShapeTest, F6_KernelInstructionShare)
 {
-    for (const auto& name : {"Media Streaming", "Data Serving",
-                             "Web Search", "Web Serving", "SPECWeb"}) {
-        EXPECT_GT(report(name).kernel_instr_fraction, 0.35) << name;
+    expect_rows("F6", {4});
+}
+
+// A workload that failed has no report; no claim may pass without it,
+// whichever workload is missing.
+TEST_F(ShapeTest, MissingWorkloadFailsEveryRow)
+{
+    ASSERT_EQ(reports_->size(), workloads::figure_order().size());
+    for (std::size_t drop = 0; drop < reports_->size(); ++drop) {
+        std::vector<cpu::CounterReport> partial = *reports_;
+        partial.erase(partial.begin() + static_cast<std::ptrdiff_t>(drop));
+        const std::vector<bool> held = check_findings(partial);
+        ASSERT_EQ(held.size(), paper_findings().size());
+        for (std::size_t i = 0; i < held.size(); ++i)
+            EXPECT_FALSE(held[i]) << (*reports_)[drop].workload
+                                  << " dropped: "
+                                  << paper_findings()[i].claim;
     }
-    double da_without_sort = 0.0;
-    int n = 0;
-    for (const auto& name :
-         workloads::names_in_category(Category::kDataAnalysis)) {
-        if (name == "Sort")
-            continue;
-        da_without_sort += report(name).kernel_instr_fraction;
-        ++n;
-    }
-    da_without_sort /= n;
-    EXPECT_LT(da_without_sort, 0.12) << "paper: ~4% without Sort";
-    EXPECT_GT(report("Sort").kernel_instr_fraction, da_without_sort * 2);
-    // RandomAccess: the kernel-heavy HPCC outlier (~31%).
-    EXPECT_GT(report("HPCC-RandomAccess").kernel_instr_fraction, 0.15);
-    EXPECT_LT(report("HPCC-DGEMM").kernel_instr_fraction, 0.02);
 }
 
 // The parallel suite runner must be a pure wall-clock optimisation:
@@ -261,44 +149,11 @@ TEST(ParallelSuite, JobsFourBitIdenticalToSerial)
         EXPECT_EQ(a.workload, b.workload) << names[i];
         EXPECT_EQ(a.instructions, b.instructions) << names[i];
         EXPECT_EQ(a.cycles, b.cycles) << names[i];
-        EXPECT_EQ(a.ipc, b.ipc) << names[i];
-        EXPECT_EQ(a.kernel_instr_fraction, b.kernel_instr_fraction)
-            << names[i];
-        EXPECT_EQ(a.stalls.fetch, b.stalls.fetch) << names[i];
-        EXPECT_EQ(a.stalls.rat, b.stalls.rat) << names[i];
-        EXPECT_EQ(a.stalls.load, b.stalls.load) << names[i];
-        EXPECT_EQ(a.stalls.store, b.stalls.store) << names[i];
-        EXPECT_EQ(a.stalls.rs, b.stalls.rs) << names[i];
-        EXPECT_EQ(a.stalls.rob, b.stalls.rob) << names[i];
-        EXPECT_EQ(a.l1i_mpki, b.l1i_mpki) << names[i];
-        EXPECT_EQ(a.itlb_walk_pki, b.itlb_walk_pki) << names[i];
-        EXPECT_EQ(a.l2_mpki, b.l2_mpki) << names[i];
-        EXPECT_EQ(a.l3_service_ratio, b.l3_service_ratio) << names[i];
-        EXPECT_EQ(a.dtlb_walk_pki, b.dtlb_walk_pki) << names[i];
-        EXPECT_EQ(a.branch_misprediction_ratio,
-                  b.branch_misprediction_ratio)
-            << names[i];
-    }
-}
-
-// DTLB walks: DA below services on average (Figure 11's main contrast).
-TEST_F(ShapeTest, F4b_DtlbWalks)
-{
-    const double da = average(Category::kDataAnalysis,
-                              [](const cpu::CounterReport& r) {
-                                  return r.dtlb_walk_pki;
-                              });
-    const double svc = average(Category::kService,
-                               [](const cpu::CounterReport& r) {
-                                   return r.dtlb_walk_pki;
-                               });
-    EXPECT_LT(da, svc);
-    // RandomAccess is the global maximum (paper Figure 11).
-    for (const auto& name : workloads::figure_order()) {
-        if (name != "HPCC-RandomAccess") {
-            EXPECT_LE(report(name).dtlb_walk_pki,
-                      report("HPCC-RandomAccess").dtlb_walk_pki)
-                << name;
+        for (std::size_t m = 0; m < cpu::kReportMetricCount; ++m) {
+            const auto metric = static_cast<cpu::ReportMetric>(m);
+            EXPECT_EQ(cpu::report_metric(a, metric),
+                      cpu::report_metric(b, metric))
+                << names[i] << " " << cpu::report_metric_name(metric);
         }
     }
 }
