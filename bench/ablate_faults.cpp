@@ -92,8 +92,9 @@ run_point(const dcb::fault::FaultPlan& plan, dcb::util::CsvWriter* csv,
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    dcb::util::expect_no_arguments(argc, argv);
     using namespace dcb;
     using util::format_double;
 

@@ -14,12 +14,9 @@
  *               [--sample[=ratio]] [--sample-window N]
  *               [--sample-discard N] [--sample-warmup N]
  *               [--obs-interval N] [--obs-out PREFIX]
- *               [--obs-extent-rows N]
  *               [--obs-metrics-out FILE] [--obs-phase[=FILE]]
  *               [--trace-out FILE] [--manifest FILE]
  */
-
-#include <sys/resource.h>
 
 #include <algorithm>
 #include <cmath>
@@ -70,8 +67,8 @@ obs_sinks()
 
 /**
  * The run manifest config_from_args fills with the effective
- * configuration. Benches embed it into their BENCH_*.json artifacts
- * (json_fragment) and may stamp extra facts before exit.
+ * configuration. Benches may stamp extra facts before exit; --manifest
+ * writes it.
  */
 inline obs::RunManifest&
 manifest()
@@ -127,20 +124,6 @@ flush_obs_sinks()
             std::fprintf(stderr, "error: cannot write %s\n",
                          sinks.manifest_path.c_str());
     }
-}
-
-/**
- * Peak resident-set size of this process in bytes (getrusage; Linux
- * reports ru_maxrss in KiB). The benches record it next to recorder
- * byte counts so telemetry memory regressions show up in BENCH_*.json.
- */
-inline std::uint64_t
-peak_rss_bytes()
-{
-    struct rusage usage;
-    if (getrusage(RUSAGE_SELF, &usage) != 0)
-        return 0;
-    return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024u;
 }
 
 /** Default per-workload op budget of config_from_args. */
@@ -230,9 +213,6 @@ flag_value(int argc, char** argv, int& i, const char* name)
  *                      <prefix><workload>.telemetry.{csv,json}
  *   --obs-out PREFIX   telemetry file prefix (default "obs/";
  *                      --obs-out= keeps telemetry in memory only)
- *   --obs-extent-rows N  rows buffered per columnar telemetry extent
- *                      before sealing to the .dcx spill file (0 keeps
- *                      every row in memory; default 4096)
  *   --obs-metrics-out FILE  labeled metrics registry: Prometheus text
  *                      to FILE, snapshot time series to FILE.dcx (both
  *                      written atomically at process exit)
@@ -278,9 +258,6 @@ config_from_args(int argc, char** argv)
             config.sampling.warmup_ops = parse_count(arg, v);
         } else if ((v = flag_value(argc, argv, i, "--obs-interval"))) {
             config.telemetry.interval_ops = parse_count(arg, v);
-        } else if ((v = flag_value(argc, argv, i, "--obs-extent-rows"))) {
-            config.telemetry.extent_rows =
-                static_cast<std::uint32_t>(parse_count(arg, v));
         } else if ((v = flag_value(argc, argv, i, "--obs-out"))) {
             config.telemetry.out_path = v;
             obs_out_seen = true;
@@ -332,8 +309,7 @@ config_from_args(int argc, char** argv)
     }
 
     // Every bench run carries its provenance: the effective config goes
-    // into the shared manifest whether or not --manifest was given, so
-    // benches can embed it into their committed JSON artifacts.
+    // into the shared manifest, which --manifest writes at exit.
     obs::RunManifest& m = sinks.manifest;
     std::string cmdline = argv[0];
     for (int i = 1; i < argc; ++i)
@@ -349,11 +325,8 @@ config_from_args(int argc, char** argv)
         m.set("sampling_window_ops", config.sampling.window_ops);
     }
     m.set("obs_interval_ops", config.telemetry.interval_ops);
-    if (config.telemetry.enabled()) {
+    if (config.telemetry.enabled())
         m.set("obs_out", config.telemetry.out_path);
-        m.set("obs_extent_rows",
-              static_cast<std::uint64_t>(config.telemetry.extent_rows));
-    }
     if (!sinks.trace_path.empty())
         m.set("trace_out", sinks.trace_path);
     if (!sinks.metrics_path.empty())

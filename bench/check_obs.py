@@ -22,16 +22,12 @@ Six subcommands, all exiting nonzero with a diagnostic on failure:
       the decoded row count and the final running sums against the
       exported JSON's rows/totals.
 
-  check_obs.py sketch FILE
-      With a JSON FILE: validates the quantile-sketch gates recorded by
-      bench_telemetry (every percentile's rank error and the max rank
-      error within the sketch epsilon (+1/n slack), sharded merge
-      byte-identical). With a .dcx extent FILE (sniffed by magic):
-      decodes the persisted sketch section and re-verifies the
-      Greenwald-Khanna rank-error invariant from the on-disk bytes
-      alone -- tuples sorted, sum of g equal to the insert count,
-      g + delta <= floor(2*epsilon*n) + 1 for every tuple (the
-      condition that bounds every quantile query's rank error by
+  check_obs.py sketch DCXFILE
+      Decodes the persisted sketch section of a .dcx extent file and
+      re-verifies the Greenwald-Khanna rank-error invariant from the
+      on-disk bytes alone -- tuples sorted, sum of g equal to the
+      insert count, g + delta <= floor(2*epsilon*n) + 1 for every tuple
+      (the condition that bounds every quantile query's rank error by
       epsilon*n), and min/max bracketing the tuple values.
 
   check_obs.py prom FILE [SERIES...]
@@ -427,10 +423,14 @@ def skip_extent(data, pos, ncols, n_add, path):
     return pos
 
 
-def check_sketch_dcx(path, data):
+def check_sketch(path):
     """Re-verify the GK rank-error invariant from a .dcx file's
     persisted sketch section alone (extent bodies are skipped, not
     re-verified -- that is the `extents` subcommand's job)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:8] != b"DCXTELE1":
+        fail(f"{path}: not a DCXTELE1 extent file")
     version, ncols = struct.unpack_from("<II", data, 8)
     if version != 1:
         fail(f"{path}: unsupported version {version}")
@@ -464,34 +464,6 @@ def check_sketch_dcx(path, data):
           f"({total} observations) re-verified from disk: tuples "
           "sorted, rank gaps sum to the insert count, g+delta within "
           "floor(2*eps*n)+1 everywhere")
-
-
-def check_sketch(path):
-    with open(path, "rb") as f:
-        head = f.read(8)
-        if head == b"DCXTELE1":
-            check_sketch_dcx(path, head + f.read())
-            return
-    with open(path) as f:
-        doc = json.load(f)
-    sk = doc.get("sketch")
-    if not isinstance(sk, dict):
-        fail(f"{path}: no 'sketch' object")
-    eps = sk["epsilon"]
-    samples = sk["samples"]
-    slack = 1.0 / samples if samples else 0.0
-    for pct in sk["percentiles"]:
-        if pct["rank_error"] > eps + slack:
-            fail(f"{path}: phi={pct['phi']} rank error "
-                 f"{pct['rank_error']} above epsilon {eps}")
-    if sk["max_rank_error"] > eps + slack:
-        fail(f"{path}: max rank error {sk['max_rank_error']} above "
-             f"epsilon {eps}")
-    if not sk["merge_identical"]:
-        fail(f"{path}: sharded sketch merge was not byte-identical")
-    print(f"check_obs: OK: {path}: {len(sk['percentiles'])} percentiles "
-          f"over {samples} samples within rank error {eps}, sharded "
-          "merge byte-identical")
 
 
 SAMPLE_RE = re.compile(

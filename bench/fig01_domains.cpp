@@ -11,8 +11,9 @@
 #include "util/table.h"
 
 int
-main()
+main(int argc, char** argv)
 {
+    dcb::util::expect_no_arguments(argc, argv);
     using namespace dcb;
     util::Table table({"domain", "share of top sites"});
     table.set_title("Figure 1: top sites in the web by category");

@@ -25,8 +25,9 @@
 #include "util/table.h"
 
 int
-main()
+main(int argc, char** argv)
 {
+    dcb::util::expect_no_arguments(argc, argv);
     using namespace dcb;
     using util::format_double;
 

@@ -10,12 +10,14 @@
 #include <set>
 
 #include "core/domain_catalog.h"
+#include "util/string_util.h"
 #include "util/table.h"
 #include "workloads/data_analysis.h"
 
 int
-main()
+main(int argc, char** argv)
 {
+    dcb::util::expect_no_arguments(argc, argv);
     using namespace dcb;
     util::Table table({"Workload", "Domain", "Scenario"});
     table.set_title("Table II: scenarios of data analysis");

@@ -9,10 +9,12 @@
 
 #include "cpu/config.h"
 #include "mem/config.h"
+#include "util/string_util.h"
 
 int
-main()
+main(int argc, char** argv)
 {
+    dcb::util::expect_no_arguments(argc, argv);
     using namespace dcb;
     const auto memory = mem::westmere_memory_config();
     const auto core = cpu::westmere_core_config();

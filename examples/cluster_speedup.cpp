@@ -9,8 +9,10 @@
  *   ./cluster_speedup [workload|all] [max-slaves]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/dcbench.h"
 #include "workloads/data_analysis.h"
@@ -62,7 +64,16 @@ main(int argc, char** argv)
         max_slaves = static_cast<std::uint32_t>(*parsed);
     }
 
-    for (const auto& name : dcb::workloads::data_analysis_names()) {
+    const std::vector<std::string>& names =
+        dcb::workloads::data_analysis_names();
+    if (which != "all" &&
+        std::find(names.begin(), names.end(), which) == names.end()) {
+        std::fprintf(stderr,
+                     "error: unknown workload: %s (valid: all, %s)\n",
+                     which.c_str(), dcb::util::join(names, ", ").c_str());
+        return 2;
+    }
+    for (const auto& name : names) {
         if (which != "all" && which != name)
             continue;
         const auto workload = dcb::workloads::make_workload(name);

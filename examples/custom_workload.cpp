@@ -14,6 +14,7 @@
 #include "datagen/text.h"
 #include "os/syscalls.h"
 #include "trace/exec_ctx.h"
+#include "util/string_util.h"
 #include "workloads/profiles.h"
 
 namespace {
@@ -90,8 +91,9 @@ class InvertedIndexWorkload final : public dcb::workloads::Workload
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    dcb::util::expect_no_arguments(argc, argv);
     InvertedIndexWorkload workload;
     const auto config = dcb::core::bench_config();
     const auto r = dcb::core::run_workload(workload, config);

@@ -29,6 +29,13 @@ sanitize_for_path(const std::string& name)
     return out;
 }
 
+/**
+ * Interval rows a telemetry recorder buffers before sealing them as one
+ * columnar extent of `<out_path><name>.telemetry.dcx`; runs shorter
+ * than one extent never touch the spill file.
+ */
+constexpr std::uint32_t kTelemetryExtentRows = 4096;
+
 double
 seconds_since(std::chrono::steady_clock::time_point start)
 {
@@ -221,14 +228,13 @@ run_workload(workloads::Workload& workload, const HarnessConfig& config,
         recorder = std::make_shared<obs::TimeSeriesRecorder>(
             cpu::Core::telemetry_columns(),
             cpu::Core::telemetry_additive());
-        if (!config.telemetry.out_path.empty() &&
-            config.telemetry.extent_rows > 0) {
+        if (!config.telemetry.out_path.empty()) {
             // Bounded-memory mode: rows spill to columnar extents once
-            // the buffer fills; short runs never touch the spill file.
+            // the buffer fills.
             recorder->enable_spill(config.telemetry.out_path +
                                        sanitize_for_path(name) +
                                        ".telemetry.dcx",
-                                   config.telemetry.extent_rows);
+                                   kTelemetryExtentRows);
         }
         core.set_telemetry(recorder.get(), config.telemetry.interval_ops);
     }

@@ -235,7 +235,6 @@ ExtentWriter::open(const std::string& path)
         header.size())
         return ok_ = false;
     header_end_ = static_cast<long>(header.size());
-    encoded_bytes_ = header.size();
     return true;
 }
 
@@ -293,8 +292,6 @@ ExtentWriter::append_extent(const IntervalRow* rows, std::size_t count,
         return ok_ = false;
     rows_written_ += count;
     ++extents_written_;
-    encoded_bytes_ += framed.size() + body.size();
-    raw_bytes_ += count * 8 * (columns_.size() + 2);
     return true;
 }
 
@@ -333,7 +330,6 @@ ExtentWriter::finalize()
         if (std::fwrite(section.data(), 1, section.size(), file_) !=
             section.size())
             ok_ = false;
-        encoded_bytes_ += section.size();
     }
     if (ok_) {
         std::string trailer;
@@ -346,7 +342,6 @@ ExtentWriter::finalize()
         if (std::fwrite(trailer.data(), 1, trailer.size(), file_) !=
             trailer.size())
             ok_ = false;
-        encoded_bytes_ += trailer.size();
     }
     if (!ok_) {
         std::fclose(file_);
@@ -365,7 +360,6 @@ ExtentWriter::reset()
 {
     rows_written_ = 0;
     extents_written_ = 0;
-    raw_bytes_ = 0;
     sketch_bytes_.clear();
     sketch_count_ = 0;
     if (file_ == nullptr)
@@ -373,7 +367,6 @@ ExtentWriter::reset()
     if (std::fflush(file_) != 0 ||
         std::fseek(file_, header_end_, SEEK_SET) != 0)
         return ok_ = false;
-    encoded_bytes_ = static_cast<std::uint64_t>(header_end_);
     // Shrink the temp file past the header so stale extents cannot
     // trail the new data if fewer extents are rewritten.
     if (ftruncate(fileno(file_), static_cast<off_t>(header_end_)) != 0)

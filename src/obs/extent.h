@@ -190,10 +190,6 @@ class ExtentWriter
 
     std::uint64_t rows_written() const { return rows_written_; }
     std::uint64_t extents_written() const { return extents_written_; }
-    /** Encoded bytes appended so far (header + extents). */
-    std::uint64_t encoded_bytes() const { return encoded_bytes_; }
-    /** Bytes the same rows would occupy as raw 8-byte columns. */
-    std::uint64_t raw_bytes() const { return raw_bytes_; }
 
   private:
     std::vector<std::string> columns_;
@@ -206,8 +202,6 @@ class ExtentWriter
     bool ok_ = true;
     std::uint64_t rows_written_ = 0;
     std::uint64_t extents_written_ = 0;
-    std::uint64_t encoded_bytes_ = 0;
-    std::uint64_t raw_bytes_ = 0;
     std::string scratch_;        ///< reused extent build buffer
     std::string sketch_bytes_;   ///< serialized sketch-section payload
     std::uint32_t sketch_count_ = 0;

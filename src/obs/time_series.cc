@@ -161,25 +161,6 @@ TimeSeriesRecorder::total_rows() const
     return sealed_rows_ + rows_.size();
 }
 
-std::uint64_t
-TimeSeriesRecorder::peak_buffered_bytes() const
-{
-    return peak_rows_ *
-           (sizeof(IntervalRow) + columns_.size() * sizeof(double));
-}
-
-std::uint64_t
-TimeSeriesRecorder::spill_encoded_bytes() const
-{
-    return writer_ != nullptr ? writer_->encoded_bytes() : 0;
-}
-
-std::uint64_t
-TimeSeriesRecorder::spill_raw_bytes() const
-{
-    return writer_ != nullptr ? writer_->raw_bytes() : 0;
-}
-
 void
 TimeSeriesRecorder::reset()
 {
@@ -206,43 +187,6 @@ TimeSeriesRecorder::sum(std::size_t col) const
 {
     DCB_EXPECTS(col < columns_.size());
     return running_sums_[col];
-}
-
-double
-TimeSeriesRecorder::mean(std::size_t col) const
-{
-    const std::uint64_t n = total_rows();
-    if (n == 0)
-        return 0.0;
-    return sum(col) / static_cast<double>(n);
-}
-
-double
-TimeSeriesRecorder::variance(std::size_t col) const
-{
-    DCB_EXPECTS(col < columns_.size());
-    // Two-pass variance needs every row; spilled series would silently
-    // drop the sealed prefix.
-    DCB_EXPECTS(!spilled());
-    const std::size_t n = rows_.size();
-    if (n < 2)
-        return 0.0;
-    const double m = mean(col);
-    double acc = 0.0;
-    for (const IntervalRow& row : rows_) {
-        const double d = row.values[col] - m;
-        acc += d * d;
-    }
-    return acc / static_cast<double>(n - 1);
-}
-
-double
-TimeSeriesRecorder::stderr_of(std::size_t col) const
-{
-    const std::size_t n = rows_.size();
-    if (n < 2)
-        return 0.0;
-    return std::sqrt(variance(col) / static_cast<double>(n));
 }
 
 // ---------------------------------------------------------------------

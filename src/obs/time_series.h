@@ -17,9 +17,7 @@
  * running floating-point sum lands exactly on the cumulative counter.
  *
  * The recorder is deliberately generic (named columns, no dependency on
- * the cpu layer) so any subsystem can record interval series through it;
- * per-column mean/variance/stderr accessors make per-metric interval
- * variance a first-class recorded quantity for sample-plan tuning.
+ * the cpu layer) so any subsystem can record interval series through it.
  */
 
 #include <cstdint>
@@ -42,17 +40,11 @@ struct TelemetryConfig
      * Output path prefix: each workload writes
      * `<out_path><sanitized-name>.telemetry.{csv,json}`. A trailing '/'
      * makes it a directory (created on demand); empty keeps the series
-     * in memory only (tests, programmatic consumers).
+     * in memory only (tests, programmatic consumers). With a path set,
+     * a series longer than one extent also spills to
+     * `<out_path><name>.telemetry.dcx` (see enable_spill).
      */
     std::string out_path;
-    /**
-     * Rows buffered per columnar extent before spilling to
-     * `<out_path><name>.telemetry.dcx`; runs shorter than one extent
-     * never touch the spill path (spill-free fast path). 0 keeps the
-     * whole series in memory regardless of length. Only effective when
-     * out_path is set (an in-memory consumer needs the rows).
-     */
-    std::uint32_t extent_rows = 4096;
 
     bool enabled() const { return interval_ops > 0; }
 };
@@ -144,12 +136,6 @@ class TimeSeriesRecorder
     std::uint64_t total_rows() const;
     /** High-water mark of rows buffered in memory at once. */
     std::uint64_t peak_buffered_rows() const { return peak_rows_; }
-    /** In-memory bytes at the buffered-row high-water mark. */
-    std::uint64_t peak_buffered_bytes() const;
-    /** Encoded bytes in the spill file (0 when nothing spilled). */
-    std::uint64_t spill_encoded_bytes() const;
-    /** Raw (8 bytes/value) size of the rows sealed to disk. */
-    std::uint64_t spill_raw_bytes() const;
 
     /** Drop all rows and totals (producer-side warmup counter reset). */
     void reset();
@@ -166,13 +152,6 @@ class TimeSeriesRecorder
     /** Left-to-right sum of one column over all rows (sealed included:
         the running accumulation is order-identical to a single pass). */
     double sum(std::size_t col) const;
-    /** Across-interval mean of one column. */
-    double mean(std::size_t col) const;
-    /** Unbiased across-interval variance (0 with fewer than 2 rows).
-        Requires the full series in memory (not valid once spilled). */
-    double variance(std::size_t col) const;
-    /** Standard error of the across-interval mean. */
-    double stderr_of(std::size_t col) const;
 
     // --- Export -----------------------------------------------------------
 

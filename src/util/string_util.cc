@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 
 namespace dcb::util {
 
@@ -113,6 +114,16 @@ parse_count(std::string_view text)
     if (ec != std::errc{} || ptr != end)
         return std::nullopt;
     return value;
+}
+
+void
+expect_no_arguments(int argc, char** argv)
+{
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr, "error: unexpected argument (%s takes none): %s\n",
+                 argv[0], argv[1]);
+    std::exit(2);
 }
 
 std::string

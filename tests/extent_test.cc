@@ -2,13 +2,15 @@
  * @file
  * Streaming columnar extent store tests: varint/zigzag/RLE edge values,
  * lossless extent round-trips (integer counters and raw doubles,
- * including -0.0 and fractional gauges), the sum-induction invariant
+ * including -0.0 and fractional gauges), compression of a counter-like
+ * series, the sum-induction invariant
  * across extent boundaries, empty/one-row files, checksum corruption
  * detection, and the recorder's spilled-vs-in-memory byte identity for
  * both CSV and JSON exports with O(extent) buffering.
  */
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -160,7 +162,8 @@ TEST(Extent, RoundTripIsBitExact)
         at += n;
     }
     ASSERT_TRUE(writer.finalize());
-    EXPECT_GT(writer.raw_bytes(), writer.encoded_bytes());
+    // Smaller than the rows as raw 8-byte first_op, op_count and values.
+    EXPECT_LT(slurp(path).size(), rows.size() * 8 * (cols.size() + 2));
 
     obs::ExtentReader reader;
     ASSERT_TRUE(reader.open(path)) << reader.error();
@@ -300,6 +303,36 @@ TEST(RecorderSpill, BoundaryCrossingSumsStayExact)
               std::bit_cast<std::uint64_t>(totals[0]));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(reader.running_sums()[1]),
               std::bit_cast<std::uint64_t>(totals[1]));
+    std::remove(path.c_str());
+}
+
+TEST(RecorderSpill, CounterSeriesCompresses)
+{
+    // Counter-like interval rows: constant instruction deltas,
+    // fractional cycle counts, bursty miss counts, IPC and an occupancy
+    // gauge. The spill file must undercut the rows as raw 8-byte
+    // first_op, op_count and values.
+    const std::string path = "extent_test_compress.dcx";
+    const std::vector<std::string> cols = {
+        "instructions", "cycles", "l2_misses", "ipc", "rob_occupancy"};
+    obs::TimeSeriesRecorder rec(cols, {true, true, true, false, false});
+    rec.enable_spill(path, 4096);
+    constexpr std::uint64_t kRows = 20'000;
+    util::Rng rng(42);
+    double cum_cycles = 0.0;
+    for (std::uint64_t i = 0; i < kRows; ++i) {
+        const double cycles = obs::TimeSeriesRecorder::fit_delta(
+            cum_cycles, cum_cycles + 6000.0 + 250.0 * rng.next_gaussian() +
+                            0.125 * static_cast<double>(i % 8));
+        cum_cycles += cycles;
+        const double v[] = {10000.0, cycles,
+                            std::floor(rng.next_exponential(1.0 / 40.0)),
+                            10000.0 / cycles,
+                            80.0 + 20.0 * rng.next_double()};
+        rec.add_row(i * 10000, 10000, v);
+    }
+    ASSERT_TRUE(rec.finalize_spill());
+    EXPECT_LT(slurp(path).size(), kRows * 8 * (cols.size() + 2));
     std::remove(path.c_str());
 }
 

@@ -61,28 +61,44 @@ make_samples(int kind, std::size_t n, std::uint64_t seed)
     return v;
 }
 
-TEST(Quantile, RankErrorStaysWithinEpsilon)
+/** Every query of an `eps` sketch over `samples` lands within
+    eps + 1/n of its target rank, and phi 0 / 1 return the extremes. */
+void
+expect_rank_error_within(std::vector<double> samples, double eps,
+                         const std::string& label)
 {
-    const double kEps = 0.01;
     const double kPhis[] = {0.01, 0.1, 0.25, 0.5, 0.75,
                             0.9,  0.95, 0.99, 0.999};
-    for (int kind = 0; kind < 6; ++kind) {
-        for (const std::size_t n : {100ul, 5000ul, 100000ul}) {
-            obs::QuantileSketch sketch(kEps);
-            std::vector<double> samples = make_samples(kind, n, 17 + kind);
-            for (const double v : samples)
-                sketch.insert(v);
-            std::sort(samples.begin(), samples.end());
-            for (const double phi : kPhis) {
-                const double got = sketch.query(phi);
-                EXPECT_LE(rank_error(samples, phi, got),
-                          kEps + 1.0 / static_cast<double>(n))
-                    << "kind=" << kind << " n=" << n << " phi=" << phi;
-            }
-            EXPECT_EQ(sketch.query(0.0), samples.front());
-            EXPECT_EQ(sketch.query(1.0), samples.back());
-        }
-    }
+    obs::QuantileSketch sketch(eps);
+    for (const double v : samples)
+        sketch.insert(v);
+    std::sort(samples.begin(), samples.end());
+    const double n = static_cast<double>(samples.size());
+    for (const double phi : kPhis)
+        EXPECT_LE(rank_error(samples, phi, sketch.query(phi)),
+                  eps + 1.0 / n)
+            << label << " phi=" << phi;
+    EXPECT_EQ(sketch.query(0.0), samples.front()) << label;
+    EXPECT_EQ(sketch.query(1.0), samples.back()) << label;
+}
+
+TEST(Quantile, RankErrorStaysWithinEpsilon)
+{
+    for (int kind = 0; kind < 6; ++kind)
+        for (const std::size_t n : {100ul, 5000ul, 100000ul})
+            expect_rank_error_within(
+                make_samples(kind, n, 17 + kind), 0.01,
+                "kind=" + std::to_string(kind) +
+                    " n=" + std::to_string(n));
+    // A long latency-like tail at the default epsilon: 1.5M lognormal
+    // samples.
+    util::Rng rng(7);
+    std::vector<double> tail(1'500'000);
+    for (double& v : tail)
+        v = std::exp(0.8 * rng.next_gaussian());
+    expect_rank_error_within(std::move(tail),
+                             obs::QuantileSketch::kDefaultEpsilon,
+                             "lognormal n=1500000");
 }
 
 TEST(Quantile, SpaceStaysSublinear)
