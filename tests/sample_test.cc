@@ -424,12 +424,20 @@ TEST(SampledRun, FullWarmingTracksExactMode)
     EXPECT_EQ(e.stderr_of(cpu::ReportMetric::kIpc), 0.0);
 }
 
+/** One workload per category: the runs the two report-path hashes pin. */
+const std::vector<std::string> kCategorySample = {
+    "WordCount", "Media Streaming", "SPECINT", "HPCC-RandomAccess"};
+
 /**
  * FNV-1a hash over every CounterReport field (stderr bars and window
- * counts included) of one workload per category, run under `config`.
+ * counts included) of each of `names`, run under `config` in order.
+ * With `with_info`, each workload's last_input_bytes() and every
+ * WorkloadInfo and JobSpec field are mixed in after its report.
  */
 std::uint64_t
-report_hash(const core::HarnessConfig& config)
+report_hash(const core::HarnessConfig& config,
+            const std::vector<std::string>& names = kCategorySample,
+            bool with_info = false)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     auto mix = [&h](std::uint64_t v) {
@@ -441,13 +449,18 @@ report_hash(const core::HarnessConfig& config)
         std::memcpy(&bits, &v, sizeof bits);
         mix(bits);
     };
-    for (const char* name : {"WordCount", "Media Streaming", "SPECINT",
-                             "HPCC-RandomAccess"}) {
-        const core::RunResult run = core::run_workload(name, config);
-        EXPECT_TRUE(run.status.ok) << name;
-        const cpu::CounterReport& r = run.report;
-        for (const char c : r.workload)
+    auto mix_string = [&mix](const std::string& s) {
+        for (const char c : s)
             mix(static_cast<unsigned char>(c));
+    };
+    for (const std::string& name : names) {
+        const auto workload = workloads::make_workload(name);
+        if (workload == nullptr) {
+            ADD_FAILURE() << "unknown workload " << name;
+            continue;
+        }
+        const cpu::CounterReport r = core::run_workload(*workload, config);
+        mix_string(r.workload);
         for (const double v :
              {r.instructions, r.cycles, r.ipc, r.kernel_instr_fraction,
               r.stalls.fetch, r.stalls.rat, r.stalls.load, r.stalls.store,
@@ -459,6 +472,23 @@ report_hash(const core::HarnessConfig& config)
         mix(r.sample_windows);
         for (const double v : r.metric_stderr)
             mix_double(v);
+        if (!with_info)
+            continue;
+        const workloads::WorkloadInfo& info = workload->info();
+        const mapreduce::JobSpec& spec = info.cluster_spec;
+        mix(workload->last_input_bytes());
+        mix_string(info.name);
+        mix(static_cast<std::uint64_t>(info.category));
+        mix_string(info.source);
+        mix_double(info.paper_input_gb);
+        mix_double(info.paper_instructions_g);
+        mix_string(spec.name);
+        for (const double v :
+             {spec.input_gb, spec.total_instructions_g,
+              spec.map_output_ratio, spec.output_ratio,
+              spec.reduce_fraction, spec.serial_fraction})
+            mix_double(v);
+        mix(spec.iterations);
     }
     return h;
 }
@@ -494,6 +524,18 @@ TEST(SampledRun, FullWarmingGoldenHash)
 TEST(ExactRun, GoldenHash)
 {
     EXPECT_EQ(report_hash(golden_config()), 0x1df640288649df06ULL);
+}
+
+/**
+ * Pins every workload of the suite bit for bit: its exact report, its
+ * simulated input bytes and its static description (Table I figures
+ * and cluster job parameters), so a change to how workloads are built
+ * or described shows up here rather than only in rounded figure CSVs.
+ */
+TEST(ExactRun, EveryWorkloadGoldenHash)
+{
+    EXPECT_EQ(report_hash(golden_config(), workloads::figure_order(), true),
+              0xd8bada2021e2535dULL);
 }
 
 /**
