@@ -25,7 +25,7 @@
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/table.h"
-#include "workloads/data_analysis.h"
+#include "workloads/registry.h"
 
 namespace {
 
@@ -49,7 +49,8 @@ run_point(const dcb::fault::FaultPlan& plan, dcb::util::CsvWriter* csv,
     cluster.slaves = 8;
 
     SweepPoint point;
-    const auto& names = workloads::data_analysis_names();
+    const std::vector<std::string> names =
+        workloads::names_in_category(workloads::Category::kDataAnalysis);
     for (std::size_t w = 0; w < names.size(); ++w) {
         const std::string& name = names[w];
         // Every run is job 0 of its own submission list and task fates
@@ -94,7 +95,7 @@ run_point(const dcb::fault::FaultPlan& plan, dcb::util::CsvWriter* csv,
 int
 main(int argc, char** argv)
 {
-    dcb::util::expect_no_arguments(argc, argv);
+    dcb::util::expect_at_most_arguments(argc, argv, 0);
     using namespace dcb;
     using util::format_double;
 

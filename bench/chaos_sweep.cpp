@@ -62,7 +62,6 @@
 #include "util/atomic_file.h"
 #include "util/rng.h"
 #include "util/table.h"
-#include "workloads/data_analysis.h"
 #include "workloads/registry.h"
 
 namespace {
@@ -94,7 +93,8 @@ make_scenario(std::uint32_t id, std::uint64_t base_seed)
     util::Rng rng(util::mix64(base_seed ^ (0x5CE7A110ULL + id)));
     Scenario s;
     s.id = id;
-    const auto& names = workloads::data_analysis_names();
+    const std::vector<std::string> names =
+        workloads::names_in_category(workloads::Category::kDataAnalysis);
     s.workload = names[id % names.size()];
 
     const std::uint32_t slave_choices[] = {4, 8, 16};

@@ -13,7 +13,7 @@
 int
 main(int argc, char** argv)
 {
-    dcb::util::expect_no_arguments(argc, argv);
+    dcb::util::expect_at_most_arguments(argc, argv, 0);
     using namespace dcb;
     util::Table table({"domain", "share of top sites"});
     table.set_title("Figure 1: top sites in the web by category");

@@ -18,7 +18,7 @@
 
 #include "bench_common.h"
 
-#include "workloads/data_analysis.h"
+#include "workloads/registry.h"
 
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -27,7 +27,7 @@
 int
 main(int argc, char** argv)
 {
-    dcb::util::expect_no_arguments(argc, argv);
+    dcb::util::expect_at_most_arguments(argc, argv, 0);
     using namespace dcb;
     using util::format_double;
 
@@ -47,7 +47,8 @@ main(int argc, char** argv)
     double lo128 = 1e9;
     double hi128 = 0.0;
     bool monotone = true;
-    for (const std::string& name : workloads::data_analysis_names()) {
+    for (const std::string& name :
+         workloads::names_in_category(workloads::Category::kDataAnalysis)) {
         const auto workload = workloads::make_workload(name);
         const auto& spec = workload->info().cluster_spec;
         const double s4 = sim.speedup(spec, cluster, 4);

@@ -10,7 +10,7 @@
 
 #include "bench_common.h"
 
-#include "workloads/data_analysis.h"
+#include "workloads/registry.h"
 
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -19,7 +19,7 @@
 int
 main(int argc, char** argv)
 {
-    dcb::util::expect_no_arguments(argc, argv);
+    dcb::util::expect_at_most_arguments(argc, argv, 0);
     using namespace dcb;
     using util::format_double;
 
@@ -33,7 +33,8 @@ main(int argc, char** argv)
 
     double sort_rate = 0.0;
     double max_other = 0.0;
-    for (const std::string& name : workloads::data_analysis_names()) {
+    for (const std::string& name :
+         workloads::names_in_category(workloads::Category::kDataAnalysis)) {
         const auto workload = workloads::make_workload(name);
         const auto timings = sim.run(workload->info().cluster_spec,
                                      cluster);

@@ -12,12 +12,12 @@
 #include "core/domain_catalog.h"
 #include "util/string_util.h"
 #include "util/table.h"
-#include "workloads/data_analysis.h"
+#include "workloads/registry.h"
 
 int
 main(int argc, char** argv)
 {
-    dcb::util::expect_no_arguments(argc, argv);
+    dcb::util::expect_at_most_arguments(argc, argv, 0);
     using namespace dcb;
     util::Table table({"Workload", "Domain", "Scenario"});
     table.set_title("Table II: scenarios of data analysis");
@@ -26,7 +26,8 @@ main(int argc, char** argv)
     table.print();
 
     std::printf("\nworkload domain coverage:\n");
-    for (const auto& name : workloads::data_analysis_names()) {
+    for (const auto& name :
+         workloads::names_in_category(workloads::Category::kDataAnalysis)) {
         std::set<std::string> domains;
         for (const auto& s : core::scenarios_for(name))
             domains.insert(s.domain);

@@ -14,7 +14,7 @@
 int
 main(int argc, char** argv)
 {
-    dcb::util::expect_no_arguments(argc, argv);
+    dcb::util::expect_at_most_arguments(argc, argv, 0);
     using namespace dcb;
     const auto memory = mem::westmere_memory_config();
     const auto core = cpu::westmere_core_config();

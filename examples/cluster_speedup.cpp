@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/dcbench.h"
-#include "workloads/data_analysis.h"
+#include "workloads/registry.h"
 #include "util/string_util.h"
 #include "util/table.h"
 
@@ -50,6 +50,7 @@ sweep(const dcb::mapreduce::JobSpec& spec, std::uint32_t max_slaves)
 int
 main(int argc, char** argv)
 {
+    dcb::util::expect_at_most_arguments(argc, argv, 2);
     const std::string which = argc > 1 ? argv[1] : "all";
     // The sweep doubles a 32-bit slave count up to max-slaves, so the
     // bound keeps it from wrapping.
@@ -64,8 +65,9 @@ main(int argc, char** argv)
         max_slaves = static_cast<std::uint32_t>(*parsed);
     }
 
-    const std::vector<std::string>& names =
-        dcb::workloads::data_analysis_names();
+    const std::vector<std::string> names =
+        dcb::workloads::names_in_category(
+            dcb::workloads::Category::kDataAnalysis);
     if (which != "all" &&
         std::find(names.begin(), names.end(), which) == names.end()) {
         std::fprintf(stderr,

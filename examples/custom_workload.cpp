@@ -93,7 +93,7 @@ class InvertedIndexWorkload final : public dcb::workloads::Workload
 int
 main(int argc, char** argv)
 {
-    dcb::util::expect_no_arguments(argc, argv);
+    dcb::util::expect_at_most_arguments(argc, argv, 0);
     InvertedIndexWorkload workload;
     const auto config = dcb::core::bench_config();
     const auto r = dcb::core::run_workload(workload, config);

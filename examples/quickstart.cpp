@@ -15,6 +15,7 @@
 int
 main(int argc, char** argv)
 {
+    dcb::util::expect_at_most_arguments(argc, argv, 2);
     const std::string name = argc > 1 ? argv[1] : "WordCount";
     dcb::core::HarnessConfig config = dcb::core::bench_config();
     if (argc > 2) {
@@ -33,7 +34,7 @@ main(int argc, char** argv)
                      name.c_str());
         for (const auto& n : dcb::workloads::figure_order())
             std::fprintf(stderr, "  %s\n", n.c_str());
-        return 1;
+        return 2;
     }
 
     std::printf("DCBench-Repro quickstart: %s (%s)\n", name.c_str(),

@@ -33,12 +33,16 @@
  *    widened), blacklisting with the 25% cap and partition forgiveness,
  *    JobTracker checkpoint / failover, and recovery-window cascades.
  *
- * Per-task nominal times come from derive_task_profile (scheduler.h),
- * the same truth the fault-free wave model uses. The scheduler inherits
- * the engine's determinism: a 1-thread run, an N-thread run and a
- * replay produce bit-identical MultiJobResult dumps
- * (tests/shard_engine_test.cc), and the chaos harness holds every
- * scenario to that.
+ * Task counts and nominal per-task times come from derive_task_profile
+ * (scheduler.h), as the fault-free wave model's do, but this engine
+ * reads only part of that profile: map_count, reduce_count, map_task_s,
+ * reduce_task_s, and inter_bytes for cross-rack shuffle traffic. It
+ * ignores serial_s, task_overhead_s, par and shuffle_raw_s, which the
+ * wave model charges, so the two models' makespans differ (ROADMAP
+ * item 1). The scheduler inherits the engine's determinism: a 1-thread
+ * run, an N-thread run and a replay produce bit-identical
+ * MultiJobResult dumps (tests/shard_engine_test.cc), and the chaos
+ * harness holds every scenario to that.
  */
 
 #include <cstdint>

@@ -30,10 +30,13 @@ struct TaskCounts
 /**
  * Per-iteration task population and service rates of one job on one
  * cluster, derived from the same Table I rates the analytic model uses.
- * This is the single source of per-task timing truth: the wave model
- * (ClusterSimulator::run) and the fair-share engine (fairshare.h) both
- * consume it, so a job's nominal task times agree across models to the
- * last bit.
+ * Both cluster models start from it, so a job's task counts and nominal
+ * per-task times are the same in each. They read different parts of
+ * it: the wave model (ClusterSimulator::run) charges every timing
+ * field, while the fair-share engine (fairshare.h) reads only the task
+ * counts, map_task_s, reduce_task_s and inter_bytes and ignores
+ * serial_s, task_overhead_s, par and shuffle_raw_s. Their makespans
+ * therefore differ (ROADMAP item 1).
  */
 struct TaskProfile
 {

@@ -117,12 +117,13 @@ parse_count(std::string_view text)
 }
 
 void
-expect_no_arguments(int argc, char** argv)
+expect_at_most_arguments(int argc, char** argv, int max_args)
 {
-    if (argc <= 1)
+    if (argc <= max_args + 1)
         return;
-    std::fprintf(stderr, "error: unexpected argument (%s takes none): %s\n",
-                 argv[0], argv[1]);
+    std::fprintf(stderr,
+                 "error: unexpected argument (%s takes at most %d): %s\n",
+                 argv[0], max_args, argv[max_args + 1]);
     std::exit(2);
 }
 

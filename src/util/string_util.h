@@ -42,10 +42,11 @@ bool starts_with(std::string_view text, std::string_view prefix);
 std::optional<std::uint64_t> parse_count(std::string_view text);
 
 /**
- * The argument check of a program that takes none: when argv holds any
- * argument, print it to stderr and exit 2.
+ * The argument check of a program that takes at most `max_args`
+ * positional arguments: when argv holds more, print the first extra one
+ * to stderr and exit 2.
  */
-void expect_no_arguments(int argc, char** argv);
+void expect_at_most_arguments(int argc, char** argv, int max_args);
 
 /** Human-readable byte count, e.g. "1.5 GB". */
 std::string human_bytes(std::uint64_t bytes);

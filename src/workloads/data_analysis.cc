@@ -1,4 +1,14 @@
-#include "workloads/data_analysis.h"
+/**
+ * @file
+ * The kernels of the eleven representative data-analysis workloads of
+ * Table I, each a real algorithm (src/analytics) over synthetic data
+ * (src/datagen), executed inside the Hadoop-style structure the paper
+ * measures: the three basic operations run as full MapReduce jobs
+ * through the engine (spill/sort/shuffle/replicated output), and the
+ * Mahout-driver workloads (classification, clustering, recommendation,
+ * segmentation, graph, warehouse) run their iterations against
+ * HDFS-style chunked I/O exactly as the Mahout drivers do.
+ */
 
 #include <algorithm>
 
@@ -20,35 +30,11 @@
 #include "datagen/vectors.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/task_io.h"
-#include "os/syscalls.h"
-#include "util/assert.h"
-#include "workloads/profiles.h"
+#include "workloads/kernels.h"
 
-namespace dcb::workloads {
+namespace dcb::workloads::kernels {
 
 namespace {
-
-/** Everything a data-analysis run needs around the core. */
-struct Env
-{
-    mem::AddressSpace space;
-    trace::ExecCtx ctx;
-    os::Disk disk;
-    os::Network net;
-    os::OsModel os;
-    util::Rng rng;
-
-    Env(cpu::Core& core, FootprintClass footprint,
-        const trace::ExecProfile& profile, std::uint64_t seed)
-        : ctx(core, make_code_layout(footprint, kUserCodeBase, seed),
-              os::kernel_code_layout(kKernelCodeBase, seed ^ 0x5A5A),
-              profile, seed),
-          os(ctx, space, disk, net), rng(seed ^ 0xD0D0)
-    {
-    }
-
-    std::uint64_t ops() const { return ctx.counts().total(); }
-};
 
 /**
  * Keeps a workload's HDFS input traffic pinned to the paper's measured
@@ -84,642 +70,385 @@ class PaperRatioIo
     std::uint64_t last_ops_ = 0;
 };
 
-/** Shared base for the eleven workloads. */
-class DaWorkload : public Workload
-{
-  public:
-    const WorkloadInfo& info() const override { return info_; }
-
-    void
-    run(cpu::Core& core, const RunConfig& config) override
-    {
-        Env env(core, footprint_, data_analysis_exec_profile(),
-                config.seed);
-        execute(env, config);
-        last_input_bytes_ = env.disk.bytes_read();
-    }
-
-    std::uint64_t last_input_bytes() const override
-    {
-        return last_input_bytes_;
-    }
-
-  protected:
-    DaWorkload(WorkloadInfo info, FootprintClass footprint)
-        : info_(std::move(info)), footprint_(footprint)
-    {
-    }
-
-    virtual void execute(Env& env, const RunConfig& config) = 0;
-
-    WorkloadInfo info_;
-    FootprintClass footprint_;
-    std::uint64_t last_input_bytes_ = 0;
-};
-
-WorkloadInfo
-da_info(const std::string& name, const std::string& source,
-        double input_gb, double instructions_g,
-        const mapreduce::JobSpec& spec)
-{
-    WorkloadInfo info;
-    info.name = name;
-    info.category = Category::kDataAnalysis;
-    info.source = source;
-    info.paper_input_gb = input_gb;
-    info.paper_instructions_g = instructions_g;
-    info.cluster_spec = spec;
-    info.in_figure2 = true;
-    return info;
-}
-
-mapreduce::JobSpec
-job_spec(const std::string& name, double input_gb, double instr_g,
-         double inter_ratio, double out_ratio, double reduce_frac,
-         std::uint32_t iterations, double serial_fraction)
-{
-    mapreduce::JobSpec s;
-    s.name = name;
-    s.input_gb = input_gb;
-    s.total_instructions_g = instr_g;
-    s.map_output_ratio = inter_ratio;
-    s.output_ratio = out_ratio;
-    s.reduce_fraction = reduce_frac;
-    s.iterations = iterations;
-    s.serial_fraction = serial_fraction;
-    return s;
-}
+}  // namespace
 
 // ====================================================================
 // 1. Sort -- full MapReduce job, identity map/reduce, data-plane bound.
 // ====================================================================
-class SortWorkload final : public DaWorkload
+void
+sort(Env& env, const RunConfig& config, const WorkloadInfo&)
 {
-  public:
-    SortWorkload()
-        : DaWorkload(da_info("Sort", "Hadoop example", 150, 4578,
-                             job_spec("Sort", 150, 4578, 1.0, 1.0, 0.4, 1,
-                                      0.06)),
-                     FootprintClass::kJvmFramework)
-    {
-    }
+    mapreduce::EngineConfig ecfg;
+    ecfg.num_map_tasks = 2;
+    ecfg.num_reduce_tasks = 2;
+    ecfg.spill_records = 2 * 1024;
+    ecfg.output_replicas = 3;  // dfs.replication default
+    mapreduce::SimpleMapReduce engine(env.ctx, env.space, *env.os, ecfg);
 
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        mapreduce::EngineConfig ecfg;
-        ecfg.num_map_tasks = 2;
-        ecfg.num_reduce_tasks = 2;
-        ecfg.spill_records = 2 * 1024;
-        ecfg.output_replicas = 3;  // dfs.replication default
-        mapreduce::SimpleMapReduce engine(env.ctx, env.space, env.os, ecfg);
-
-        const std::size_t batch = 4 * 1024;
-        std::vector<mapreduce::Record> input(batch);
-        while (env.ops() < config.op_budget) {
-            for (auto& r : input) {
-                r.key = env.rng.next_u64();
-                r.value = env.rng.next_u64();
-            }
-            engine.run(
-                input,
-                [](const mapreduce::Record& r, mapreduce::Emitter& out) {
-                    out.emit(r.key, r.value);
-                },
-                [](std::uint64_t key,
-                   std::span<const std::uint64_t> values,
-                   mapreduce::Emitter& out) {
-                    for (std::uint64_t v : values)
-                        out.emit(key, v);
-                },
-                nullptr);
+    const std::size_t batch = 4 * 1024;
+    std::vector<mapreduce::Record> input(batch);
+    while (env.ops() < config.op_budget) {
+        for (auto& r : input) {
+            r.key = env.rng.next_u64();
+            r.value = env.rng.next_u64();
         }
+        engine.run(
+            input,
+            [](const mapreduce::Record& r, mapreduce::Emitter& out) {
+                out.emit(r.key, r.value);
+            },
+            [](std::uint64_t key,
+               std::span<const std::uint64_t> values,
+               mapreduce::Emitter& out) {
+                for (std::uint64_t v : values)
+                    out.emit(key, v);
+            },
+            nullptr);
     }
-};
+}
 
 // ====================================================================
 // 2. WordCount -- MapReduce with a combiner-style spill path.
 // ====================================================================
-class WordCountWorkload final : public DaWorkload
+void
+word_count(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    WordCountWorkload()
-        : DaWorkload(da_info("WordCount", "Hadoop example", 154, 3533,
-                             job_spec("WordCount", 154, 3533, 0.05, 0.02,
-                                      0.1, 1, 0.035)),
-                     FootprintClass::kJvmFramework)
-    {
-    }
+    datagen::TextGenerator text(30'000, 1.0, env.rng.next_u64());
+    analytics::WordCounter counter(env.ctx, env.space, 1 << 16);
+    mapreduce::TaskIo io(*env.os, env.space);
+    PaperRatioIo ratio_io(io, env, info);
+    mapreduce::EngineConfig ecfg;
+    ecfg.num_map_tasks = 2;
+    ecfg.num_reduce_tasks = 2;
+    ecfg.spill_records = 8192;
+    mapreduce::SimpleMapReduce engine(env.ctx, env.space, *env.os, ecfg);
 
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        datagen::TextGenerator text(30'000, 1.0, env.rng.next_u64());
-        analytics::WordCounter counter(env.ctx, env.space, 1 << 16);
-        mapreduce::TaskIo io(env.os, env.space);
-        PaperRatioIo ratio_io(io, env, info_);
-        mapreduce::EngineConfig ecfg;
-        ecfg.num_map_tasks = 2;
-        ecfg.num_reduce_tasks = 2;
-        ecfg.spill_records = 8192;
-        mapreduce::SimpleMapReduce engine(env.ctx, env.space, env.os, ecfg);
-
-        std::uint64_t batch_no = 0;
-        while (env.ops() < config.op_budget) {
-            // Map side: tokenize + in-mapper combine (the Hadoop
-            // WordCount combiner) over a batch of documents.
-            std::vector<mapreduce::Record> combined;
-            for (int d = 0; d < 48; ++d) {
-                const datagen::Document doc = text.next_document(120);
-                counter.add_document(doc.words);
-            }
-            ratio_io.sync();
-            // The combined output is tiny; flush it through the reduce
-            // job at combiner-flush cadence, not per batch.
-            if (++batch_no % 8 != 0)
-                continue;
-            // Emit a sample of combined (word, count) pairs downstream.
-            combined.reserve(2048);
-            for (std::uint32_t w = 0; w < 2048; ++w) {
-                const std::uint64_t c = counter.count_of(w);
-                if (c > 0)
-                    combined.push_back({w, c});
-            }
-            engine.run(
-                combined,
-                [](const mapreduce::Record& r, mapreduce::Emitter& out) {
-                    out.emit(r.key, r.value);
-                },
-                [&env](std::uint64_t key,
-                       std::span<const std::uint64_t> values,
-                       mapreduce::Emitter& out) {
-                    std::uint64_t sum = 0;
-                    for (std::uint64_t v : values) {
-                        sum += v;
-                        env.ctx.alu(1);
-                    }
-                    out.emit(key, sum);
-                },
-                nullptr);
+    std::uint64_t batch_no = 0;
+    while (env.ops() < config.op_budget) {
+        // Map side: tokenize + in-mapper combine (the Hadoop
+        // WordCount combiner) over a batch of documents.
+        std::vector<mapreduce::Record> combined;
+        for (int d = 0; d < 48; ++d) {
+            const datagen::Document doc = text.next_document(120);
+            counter.add_document(doc.words);
         }
-        io.flush();
+        ratio_io.sync();
+        // The combined output is tiny; flush it through the reduce
+        // job at combiner-flush cadence, not per batch.
+        if (++batch_no % 8 != 0)
+            continue;
+        // Emit a sample of combined (word, count) pairs downstream.
+        combined.reserve(2048);
+        for (std::uint32_t w = 0; w < 2048; ++w) {
+            const std::uint64_t c = counter.count_of(w);
+            if (c > 0)
+                combined.push_back({w, c});
+        }
+        engine.run(
+            combined,
+            [](const mapreduce::Record& r, mapreduce::Emitter& out) {
+                out.emit(r.key, r.value);
+            },
+            [&env](std::uint64_t key,
+                   std::span<const std::uint64_t> values,
+                   mapreduce::Emitter& out) {
+                std::uint64_t sum = 0;
+                for (std::uint64_t v : values) {
+                    sum += v;
+                    env.ctx.alu(1);
+                }
+                out.emit(key, sum);
+            },
+            nullptr);
     }
-};
+    io.flush();
+}
 
 // ====================================================================
 // 3. Grep -- streaming scan, near-empty intermediate data.
 // ====================================================================
-class GrepWorkload final : public DaWorkload
+void
+grep(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    GrepWorkload()
-        : DaWorkload(da_info("Grep", "Hadoop example", 154, 1499,
-                             job_spec("Grep", 154, 1499, 0.002, 0.002,
-                                      0.05, 1, 0.17)),
-                     FootprintClass::kJvmFramework)
-    {
-    }
+    datagen::TextGenerator text(200'000, 1.0, env.rng.next_u64());
+    analytics::Grep grep(env.ctx, env.space, "dataxcenter",
+                         1 << 20);
+    mapreduce::TaskIo io(*env.os, env.space);
+    PaperRatioIo ratio_io(io, env, info);
 
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        datagen::TextGenerator text(200'000, 1.0, env.rng.next_u64());
-        analytics::Grep grep(env.ctx, env.space, "dataxcenter",
-                             1 << 20);
-        mapreduce::TaskIo io(env.os, env.space);
-        PaperRatioIo ratio_io(io, env, info_);
-
-        std::string line;
-        std::uint64_t lines = 0;
-        while (env.ops() < config.op_budget) {
-            // Build a line of ~40 words; occasionally implant the pattern.
-            line.clear();
-            for (int w = 0; w < 40; ++w) {
-                line += datagen::TextGenerator::word_string(text.next_word());
-                line += ' ';
-            }
-            if (env.rng.next_bool(0.02))
-                line.insert(line.size() / 2, "dataxcenter");
-            grep.scan_line(line);
-            if ((++lines & 31) == 0)
-                ratio_io.sync();
+    std::string line;
+    std::uint64_t lines = 0;
+    while (env.ops() < config.op_budget) {
+        // Build a line of ~40 words; occasionally implant the pattern.
+        line.clear();
+        for (int w = 0; w < 40; ++w) {
+            line += datagen::TextGenerator::word_string(text.next_word());
+            line += ' ';
         }
-        io.flush();
+        if (env.rng.next_bool(0.02))
+            line.insert(line.size() / 2, "dataxcenter");
+        grep.scan_line(line);
+        if ((++lines & 31) == 0)
+            ratio_io.sync();
     }
-};
+    io.flush();
+}
 
 // ====================================================================
 // 4. Naive Bayes -- Mahout trainer + classifier.
 // ====================================================================
-class NaiveBayesWorkload final : public DaWorkload
+void
+naive_bayes(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    NaiveBayesWorkload()
-        : DaWorkload(da_info("Naive Bayes", "mahout", 147, 68131,
-                             job_spec("Naive Bayes", 147, 68131, 0.1, 0.01,
-                                      0.15, 1, 0.02)),
-                     FootprintClass::kJvmCompact)
-    {
-    }
+    constexpr std::uint32_t kVocab = 16'000;
+    constexpr std::uint32_t kClasses = 4;
+    datagen::LabelledTextGenerator text(kVocab, kClasses, 1.0,
+                                        env.rng.next_u64());
+    analytics::NaiveBayes bayes(env.ctx, env.space, kVocab, kClasses);
+    mapreduce::TaskIo io(*env.os, env.space);
+    PaperRatioIo ratio_io(io, env, info);
 
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        constexpr std::uint32_t kVocab = 16'000;
-        constexpr std::uint32_t kClasses = 4;
-        datagen::LabelledTextGenerator text(kVocab, kClasses, 1.0,
-                                            env.rng.next_u64());
-        analytics::NaiveBayes bayes(env.ctx, env.space, kVocab, kClasses);
-        mapreduce::TaskIo io(env.os, env.space);
-        PaperRatioIo ratio_io(io, env, info_);
-
-        // Training pass over roughly half the budget.
-        std::uint64_t docs = 0;
-        while (env.ops() < config.op_budget / 4) {
-            bayes.train(text.next_document(140));
-            if ((++docs & 31) == 0)
-                ratio_io.sync();
-        }
-        bayes.finalize();
-        // Classification pass consumes the rest.
-        while (env.ops() < config.op_budget) {
-            bayes.classify(text.next_document(140));
-            if ((++docs & 31) == 0)
-                ratio_io.sync();
-        }
-        io.flush();
+    // Training pass over roughly half the budget.
+    std::uint64_t docs = 0;
+    while (env.ops() < config.op_budget / 4) {
+        bayes.train(text.next_document(140));
+        if ((++docs & 31) == 0)
+            ratio_io.sync();
     }
-};
+    bayes.finalize();
+    // Classification pass consumes the rest.
+    while (env.ops() < config.op_budget) {
+        bayes.classify(text.next_document(140));
+        if ((++docs & 31) == 0)
+            ratio_io.sync();
+    }
+    io.flush();
+}
 
 // ====================================================================
 // 5. SVM -- Pegasos trainer.
 // ====================================================================
-class SvmWorkload final : public DaWorkload
+void
+svm(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    SvmWorkload()
-        : DaWorkload(da_info("SVM", "our implementation", 148, 2051,
-                             job_spec("SVM", 148, 2051, 0.02, 0.001, 0.1,
-                                      1, 0.015)),
-                     FootprintClass::kJvmFramework)
-    {
-    }
+    constexpr std::uint32_t kVocab = 50'000;
+    datagen::LabelledTextGenerator text(kVocab, 2, 1.0,
+                                        env.rng.next_u64());
+    analytics::LinearSvm svm(env.ctx, env.space, kVocab, 1e-4);
+    mapreduce::TaskIo io(*env.os, env.space);
+    PaperRatioIo ratio_io(io, env, info);
 
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        constexpr std::uint32_t kVocab = 50'000;
-        datagen::LabelledTextGenerator text(kVocab, 2, 1.0,
-                                            env.rng.next_u64());
-        analytics::LinearSvm svm(env.ctx, env.space, kVocab, 1e-4);
-        mapreduce::TaskIo io(env.os, env.space);
-        PaperRatioIo ratio_io(io, env, info_);
-
-        std::uint64_t docs = 0;
-        while (env.ops() < config.op_budget) {
-            svm.train_step(text.next_document(120));
-            if ((++docs & 31) == 0)
-                ratio_io.sync();
-        }
-        io.flush();
+    std::uint64_t docs = 0;
+    while (env.ops() < config.op_budget) {
+        svm.train_step(text.next_document(120));
+        if ((++docs & 31) == 0)
+            ratio_io.sync();
     }
-};
+    io.flush();
+}
 
 // ====================================================================
 // 6. K-means -- Mahout driver: every Lloyd iteration re-reads input.
 // ====================================================================
-class KmeansWorkload final : public DaWorkload
+void
+kmeans(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    KmeansWorkload()
-        : DaWorkload(da_info("K-means", "mahout", 150, 3227,
-                             job_spec("K-means", 150, 3227, 0.01, 0.005,
-                                      0.1, 3, 0.01)),
-                     FootprintClass::kJvmFramework)
-    {
+    constexpr std::uint32_t kDims = 16;
+    constexpr std::uint32_t kCenters = 16;
+    constexpr std::size_t kPoints = 24'000;
+    datagen::VectorGenerator gen(kDims, kCenters, 1.5,
+                                 env.rng.next_u64());
+    std::vector<double> points;
+    points.reserve(kPoints * kDims);
+    std::vector<double> p;
+    for (std::size_t i = 0; i < kPoints; ++i) {
+        gen.next_point(p);
+        points.insert(points.end(), p.begin(), p.end());
     }
-
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        constexpr std::uint32_t kDims = 16;
-        constexpr std::uint32_t kCenters = 16;
-        constexpr std::size_t kPoints = 24'000;
-        datagen::VectorGenerator gen(kDims, kCenters, 1.5,
-                                     env.rng.next_u64());
-        std::vector<double> points;
-        points.reserve(kPoints * kDims);
-        std::vector<double> p;
-        for (std::size_t i = 0; i < kPoints; ++i) {
-            gen.next_point(p);
-            points.insert(points.end(), p.begin(), p.end());
+    analytics::Kmeans kmeans(env.ctx, env.space, points, kPoints,
+                             kDims, kCenters);
+    mapreduce::TaskIo io(*env.os, env.space);
+    PaperRatioIo ratio_io(io, env, info);
+    constexpr std::size_t kBlock = 1024;
+    while (env.ops() < config.op_budget) {
+        // One Lloyd iteration = one Mahout MR job over the input,
+        // processed in split-sized blocks so op budgets are honoured.
+        kmeans.begin_pass();
+        for (std::size_t p = 0; p < kPoints; p += kBlock) {
+            ratio_io.sync();
+            kmeans.assign_block(p, kBlock);
+            if (env.ops() >= config.op_budget)
+                break;
         }
-        analytics::Kmeans kmeans(env.ctx, env.space, points, kPoints,
-                                 kDims, kCenters);
-        mapreduce::TaskIo io(env.os, env.space);
-        PaperRatioIo ratio_io(io, env, info_);
-        constexpr std::size_t kBlock = 1024;
-        while (env.ops() < config.op_budget) {
-            // One Lloyd iteration = one Mahout MR job over the input,
-            // processed in split-sized blocks so op budgets are honoured.
-            kmeans.begin_pass();
-            for (std::size_t p = 0; p < kPoints; p += kBlock) {
-                ratio_io.sync();
-                kmeans.assign_block(p, kBlock);
-                if (env.ops() >= config.op_budget)
-                    break;
-            }
-            kmeans.finish_pass();
-            io.write_output(kCenters * kDims * sizeof(double));
-        }
-        io.flush();
+        kmeans.finish_pass();
+        io.write_output(kCenters * kDims * sizeof(double));
     }
-};
+    io.flush();
+}
 
 // ====================================================================
 // 7. Fuzzy K-means -- soft memberships, ~5x the FP work of K-means.
 // ====================================================================
-class FuzzyKmeansWorkload final : public DaWorkload
+void
+fuzzy_kmeans(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    FuzzyKmeansWorkload()
-        : DaWorkload(da_info("Fuzzy K-means", "mahout", 150, 15470,
-                             job_spec("Fuzzy K-means", 150, 15470, 0.01,
-                                      0.005, 0.1, 3, 0.008)),
-                     FootprintClass::kJvmFramework)
-    {
+    constexpr std::uint32_t kDims = 16;
+    constexpr std::uint32_t kCenters = 12;
+    constexpr std::size_t kPoints = 8'000;
+    datagen::VectorGenerator gen(kDims, kCenters, 1.5,
+                                 env.rng.next_u64());
+    std::vector<double> points;
+    points.reserve(kPoints * kDims);
+    std::vector<double> p;
+    for (std::size_t i = 0; i < kPoints; ++i) {
+        gen.next_point(p);
+        points.insert(points.end(), p.begin(), p.end());
     }
-
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        constexpr std::uint32_t kDims = 16;
-        constexpr std::uint32_t kCenters = 12;
-        constexpr std::size_t kPoints = 8'000;
-        datagen::VectorGenerator gen(kDims, kCenters, 1.5,
-                                     env.rng.next_u64());
-        std::vector<double> points;
-        points.reserve(kPoints * kDims);
-        std::vector<double> p;
-        for (std::size_t i = 0; i < kPoints; ++i) {
-            gen.next_point(p);
-            points.insert(points.end(), p.begin(), p.end());
+    analytics::FuzzyKmeans fkm(env.ctx, env.space, points, kPoints,
+                               kDims, kCenters, 2.0);
+    mapreduce::TaskIo io(*env.os, env.space);
+    PaperRatioIo ratio_io(io, env, info);
+    constexpr std::size_t kBlock = 512;
+    while (env.ops() < config.op_budget) {
+        fkm.begin_pass();
+        for (std::size_t p = 0; p < kPoints; p += kBlock) {
+            ratio_io.sync();
+            fkm.process_block(p, kBlock);
+            if (env.ops() >= config.op_budget)
+                break;
         }
-        analytics::FuzzyKmeans fkm(env.ctx, env.space, points, kPoints,
-                                   kDims, kCenters, 2.0);
-        mapreduce::TaskIo io(env.os, env.space);
-        PaperRatioIo ratio_io(io, env, info_);
-        constexpr std::size_t kBlock = 512;
-        while (env.ops() < config.op_budget) {
-            fkm.begin_pass();
-            for (std::size_t p = 0; p < kPoints; p += kBlock) {
-                ratio_io.sync();
-                fkm.process_block(p, kBlock);
-                if (env.ops() >= config.op_budget)
-                    break;
-            }
-            fkm.finish_pass();
-            io.write_output(kCenters * kDims * sizeof(double));
-        }
-        io.flush();
+        fkm.finish_pass();
+        io.write_output(kCenters * kDims * sizeof(double));
     }
-};
+    io.flush();
+}
 
 // ====================================================================
 // 8. IBCF -- pairwise similarity build + prediction serving.
 // ====================================================================
-class IbcfWorkload final : public DaWorkload
+void
+ibcf(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    IbcfWorkload()
-        : DaWorkload(da_info("IBCF", "mahout", 147, 32340,
-                             job_spec("IBCF", 147, 32340, 0.3, 0.05, 0.3,
-                                      1, 0.004)),
-                     FootprintClass::kJvmFramework)
-    {
-    }
+    constexpr std::uint32_t kUsers = 3'000;
+    constexpr std::uint32_t kItems = 512;
+    datagen::RatingsGenerator gen(kUsers, kItems, env.rng.next_u64());
+    analytics::Ibcf ibcf(env.ctx, env.space, kUsers, kItems);
+    mapreduce::TaskIo io(*env.os, env.space);
 
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        constexpr std::uint32_t kUsers = 3'000;
-        constexpr std::uint32_t kItems = 512;
-        datagen::RatingsGenerator gen(kUsers, kItems, env.rng.next_u64());
-        analytics::Ibcf ibcf(env.ctx, env.space, kUsers, kItems);
-        mapreduce::TaskIo io(env.os, env.space);
-
-        PaperRatioIo ratio_io(io, env, info_);
-        const std::size_t ratings = kUsers * 12;
-        for (std::size_t i = 0; i < ratings; ++i) {
-            if ((i & 1023) == 0)
-                ratio_io.sync();
-            ibcf.add_rating(gen.next());
-        }
-        while (env.ops() < config.op_budget) {
-            ibcf.build_similarity();
+    PaperRatioIo ratio_io(io, env, info);
+    const std::size_t ratings = kUsers * 12;
+    for (std::size_t i = 0; i < ratings; ++i) {
+        if ((i & 1023) == 0)
             ratio_io.sync();
-            for (std::uint32_t q = 0; q < 4096; ++q) {
-                ibcf.predict(
-                    static_cast<std::uint32_t>(env.rng.next_below(kUsers)),
-                    static_cast<std::uint32_t>(env.rng.next_below(kItems)));
-            }
-            ratio_io.sync();
-            io.write_output(kItems * 64);
-        }
-        io.flush();
+        ibcf.add_rating(gen.next());
     }
-};
+    while (env.ops() < config.op_budget) {
+        ibcf.build_similarity();
+        ratio_io.sync();
+        for (std::uint32_t q = 0; q < 4096; ++q) {
+            ibcf.predict(
+                static_cast<std::uint32_t>(env.rng.next_below(kUsers)),
+                static_cast<std::uint32_t>(env.rng.next_below(kItems)));
+        }
+        ratio_io.sync();
+        io.write_output(kItems * 64);
+    }
+    io.flush();
+}
 
 // ====================================================================
 // 9. HMM -- BMES word segmentation (train + Viterbi decode).
 // ====================================================================
-class HmmWorkload final : public DaWorkload
+void
+hmm(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    HmmWorkload()
-        : DaWorkload(da_info("HMM", "our implementation", 147, 1841,
-                             job_spec("HMM", 147, 1841, 0.01, 0.01, 0.05,
-                                      1, 0.055)),
-                     FootprintClass::kJvmFramework)
-    {
-    }
+    constexpr std::uint16_t kAlphabet = 512;
+    constexpr std::uint32_t kMaxSeq = 4096;
+    analytics::SegmentationSource source(kAlphabet,
+                                         env.rng.next_u64());
+    analytics::HmmSegmenter hmm(env.ctx, env.space, kAlphabet,
+                                kMaxSeq);
+    mapreduce::TaskIo io(*env.os, env.space);
+    PaperRatioIo ratio_io(io, env, info);
 
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        constexpr std::uint16_t kAlphabet = 512;
-        constexpr std::uint32_t kMaxSeq = 4096;
-        analytics::SegmentationSource source(kAlphabet,
-                                             env.rng.next_u64());
-        analytics::HmmSegmenter hmm(env.ctx, env.space, kAlphabet,
-                                    kMaxSeq);
-        mapreduce::TaskIo io(env.os, env.space);
-        PaperRatioIo ratio_io(io, env, info_);
-
-        for (int i = 0; i < 400; ++i) {
-            hmm.train(source.next_sequence(200));
-            if ((i & 15) == 0)
-                ratio_io.sync();
-        }
-        hmm.finalize();
-        std::vector<std::uint8_t> decoded;
-        std::uint64_t seqs = 0;
-        while (env.ops() < config.op_budget) {
-            const analytics::TaggedSequence seq = source.next_sequence(300);
-            hmm.decode(seq.chars, decoded);
-            if ((++seqs & 7) == 0)
-                ratio_io.sync();
-        }
-        io.flush();
+    for (int i = 0; i < 400; ++i) {
+        hmm.train(source.next_sequence(200));
+        if ((i & 15) == 0)
+            ratio_io.sync();
     }
-};
+    hmm.finalize();
+    std::vector<std::uint8_t> decoded;
+    std::uint64_t seqs = 0;
+    while (env.ops() < config.op_budget) {
+        const analytics::TaggedSequence seq = source.next_sequence(300);
+        hmm.decode(seq.chars, decoded);
+        if ((++seqs & 7) == 0)
+            ratio_io.sync();
+    }
+    io.flush();
+}
 
 // ====================================================================
 // 10. PageRank -- power iteration; each iteration re-reads the graph.
 // ====================================================================
-class PageRankWorkload final : public DaWorkload
+void
+pagerank(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    PageRankWorkload()
-        : DaWorkload(da_info("PageRank", "mahout", 187, 18470,
-                             job_spec("PageRank", 187, 18470, 0.5, 0.1,
-                                      0.3, 6, 0.035)),
-                     FootprintClass::kJvmFramework)
-    {
-    }
-
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        const datagen::CsrGraph graph =
-            datagen::make_web_graph(120'000, 8.0, 0.8, env.rng.next_u64());
-        analytics::PageRank pr(env.ctx, env.space, graph, 0.85);
-        mapreduce::TaskIo io(env.os, env.space);
-        PaperRatioIo ratio_io(io, env, info_);
-        constexpr std::uint32_t kBlock = 8192;
-        while (env.ops() < config.op_budget) {
-            pr.begin_iteration();
-            std::uint32_t processed = 0;
-            for (std::uint32_t v = 0; v < graph.num_nodes; v += kBlock) {
-                const std::uint32_t hi =
-                    std::min(graph.num_nodes, v + kBlock);
-                ratio_io.sync();
-                pr.process_nodes(v, hi);
-                processed = hi;
-                if (env.ops() >= config.op_budget)
-                    break;
-            }
-            pr.finish_iteration();
-            // Rank output proportional to the slice actually computed.
-            io.write_output(processed * 4);
+    const datagen::CsrGraph graph =
+        datagen::make_web_graph(120'000, 8.0, 0.8, env.rng.next_u64());
+    analytics::PageRank pr(env.ctx, env.space, graph, 0.85);
+    mapreduce::TaskIo io(*env.os, env.space);
+    PaperRatioIo ratio_io(io, env, info);
+    constexpr std::uint32_t kBlock = 8192;
+    while (env.ops() < config.op_budget) {
+        pr.begin_iteration();
+        std::uint32_t processed = 0;
+        for (std::uint32_t v = 0; v < graph.num_nodes; v += kBlock) {
+            const std::uint32_t hi =
+                std::min(graph.num_nodes, v + kBlock);
+            ratio_io.sync();
+            pr.process_nodes(v, hi);
+            processed = hi;
+            if (env.ops() >= config.op_budget)
+                break;
         }
-        io.flush();
+        pr.finish_iteration();
+        // Rank output proportional to the slice actually computed.
+        io.write_output(processed * 4);
     }
-};
+    io.flush();
+}
 
 // ====================================================================
 // 11. Hive-bench -- the three representative SQL statements.
 // ====================================================================
-class HiveWorkload final : public DaWorkload
+void
+hive(Env& env, const RunConfig& config, const WorkloadInfo& info)
 {
-  public:
-    HiveWorkload()
-        : DaWorkload(da_info("Hive-bench", "Hivebench", 156, 3659,
-                             job_spec("Hive-bench", 156, 3659, 0.2, 0.05,
-                                      0.2, 3, 0.05)),
-                     FootprintClass::kJvmFramework)
-    {
+    constexpr std::size_t kRankings = 24'000;
+    constexpr std::size_t kVisits = 32'000;
+    datagen::TableGenerator gen(30'000, 20'000, env.rng.next_u64());
+    std::vector<datagen::RankingRow> rankings(kRankings);
+    std::vector<datagen::UserVisitRow> visits(kVisits);
+    for (auto& r : rankings)
+        r = gen.next_ranking();
+    for (auto& v : visits)
+        v = gen.next_visit();
+    analytics::HiveEngine hive(env.ctx, env.space, std::move(rankings),
+                               std::move(visits));
+    mapreduce::TaskIo io(*env.os, env.space);
+    PaperRatioIo ratio_io(io, env, info);
+    while (env.ops() < config.op_budget) {
+        hive.query_filter(200);
+        ratio_io.sync();
+        hive.query_group_revenue();
+        ratio_io.sync();
+        analytics::IpAggregate top;
+        hive.query_join(14000, 17100, &top);
+        ratio_io.sync();
+        io.write_output(64 * 1024);
     }
-
-  protected:
-    void
-    execute(Env& env, const RunConfig& config) override
-    {
-        constexpr std::size_t kRankings = 24'000;
-        constexpr std::size_t kVisits = 32'000;
-        datagen::TableGenerator gen(30'000, 20'000, env.rng.next_u64());
-        std::vector<datagen::RankingRow> rankings(kRankings);
-        std::vector<datagen::UserVisitRow> visits(kVisits);
-        for (auto& r : rankings)
-            r = gen.next_ranking();
-        for (auto& v : visits)
-            v = gen.next_visit();
-        analytics::HiveEngine hive(env.ctx, env.space, std::move(rankings),
-                                   std::move(visits));
-        mapreduce::TaskIo io(env.os, env.space);
-        PaperRatioIo ratio_io(io, env, info_);
-        while (env.ops() < config.op_budget) {
-            hive.query_filter(200);
-            ratio_io.sync();
-            hive.query_group_revenue();
-            ratio_io.sync();
-            analytics::IpAggregate top;
-            hive.query_join(14000, 17100, &top);
-            ratio_io.sync();
-            io.write_output(64 * 1024);
-        }
-        io.flush();
-    }
-};
-
-}  // namespace
-
-std::unique_ptr<Workload>
-make_data_analysis_workload(const std::string& name)
-{
-    if (name == "Sort")
-        return std::make_unique<SortWorkload>();
-    if (name == "WordCount")
-        return std::make_unique<WordCountWorkload>();
-    if (name == "Grep")
-        return std::make_unique<GrepWorkload>();
-    if (name == "Naive Bayes")
-        return std::make_unique<NaiveBayesWorkload>();
-    if (name == "SVM")
-        return std::make_unique<SvmWorkload>();
-    if (name == "K-means")
-        return std::make_unique<KmeansWorkload>();
-    if (name == "Fuzzy K-means")
-        return std::make_unique<FuzzyKmeansWorkload>();
-    if (name == "IBCF")
-        return std::make_unique<IbcfWorkload>();
-    if (name == "HMM")
-        return std::make_unique<HmmWorkload>();
-    if (name == "PageRank")
-        return std::make_unique<PageRankWorkload>();
-    if (name == "Hive-bench")
-        return std::make_unique<HiveWorkload>();
-    return nullptr;
+    io.flush();
 }
 
-const std::vector<std::string>&
-data_analysis_names()
-{
-    static const std::vector<std::string> kNames = {
-        "Sort", "WordCount", "Grep", "Naive Bayes", "SVM", "K-means",
-        "Fuzzy K-means", "IBCF", "HMM", "PageRank", "Hive-bench",
-    };
-    return kNames;
-}
-
-const std::vector<std::string>&
-data_analysis_figure_order()
-{
-    static const std::vector<std::string> kNames = {
-        "Naive Bayes", "SVM", "Grep", "WordCount", "K-means",
-        "Fuzzy K-means", "PageRank", "Sort", "Hive-bench", "IBCF", "HMM",
-    };
-    return kNames;
-}
-
-}  // namespace dcb::workloads
+}  // namespace dcb::workloads::kernels

@@ -19,13 +19,14 @@ namespace dcb::workloads {
 std::unique_ptr<Workload> make_workload(const std::string& name);
 
 /**
- * All 27 workload names in the paper's figure order: the eleven data
+ * All 26 workload names in the paper's figure order: the eleven data
  * analysis workloads (Naive Bayes first), then the CloudSuite/SPECweb
  * services, SPEC CPU groups, and the HPCC kernels.
  */
 const std::vector<std::string>& figure_order();
 
-/** Every registered name grouped by category. */
+/** The names of one category in table order (Table I order for the
+    data-analysis workloads). */
 std::vector<std::string> names_in_category(Category category);
 
 }  // namespace dcb::workloads

@@ -1,140 +1,83 @@
-#include "workloads/spec.h"
+/**
+ * @file
+ * SPEC CPU2006 group models (Section III-C1 reports SPECINT and SPECFP
+ * as run-averages of the official suites). These are behavioural
+ * composites -- "model:" sources -- reproducing the groups' counter
+ * signatures: SPECINT mixes pointer chasing, compression-style loops and
+ * data-dependent branches; SPECFP is loop-parallel dense FP with regular
+ * control flow.
+ */
 
-#include "mem/address_space.h"
-#include "os/syscalls.h"
-#include "trace/exec_ctx.h"
-#include "util/rng.h"
-#include "workloads/profiles.h"
+#include "workloads/kernels.h"
 
-namespace dcb::workloads {
+namespace dcb::workloads::kernels {
 
-namespace {
-
-class SpecIntWorkload final : public Workload
+void
+specint(Env& env, const RunConfig& config, const WorkloadInfo&)
 {
-  public:
-    SpecIntWorkload()
-    {
-        info_.name = "SPECINT";
-        info_.category = Category::kSpecCpu;
-        info_.source = "model: integer composite (chase/compress/branch)";
-    }
+    trace::ExecCtx& ctx = env.ctx;
+    mem::AddressSpace& space = env.space;
+    util::Rng& rng = env.rng;
 
-    const WorkloadInfo& info() const override { return info_; }
+    const std::uint64_t pool_bytes = 3ULL << 20;
+    const mem::Region pool = space.alloc(pool_bytes, "specint_pool");
+    const mem::Region window = space.alloc(256 << 10, "specint_window");
 
-    void
-    run(cpu::Core& core, const RunConfig& config) override
-    {
-        trace::ExecCtx ctx(
-            core,
-            make_code_layout(FootprintClass::kStaticCompute, kUserCodeBase,
-                             config.seed),
-            os::kernel_code_layout(kKernelCodeBase, config.seed ^ 0x5A5A),
-            spec_exec_profile(), config.seed);
-        mem::AddressSpace space;
-        util::Rng rng(config.seed ^ 0x1217);
-        const std::uint64_t pool_bytes = 3ULL << 20;
-        const mem::Region pool = space.alloc(pool_bytes, "specint_pool");
-        const mem::Region window = space.alloc(256 << 10, "specint_window");
-
-        while (ctx.counts().total() < config.op_budget) {
-            // Pointer-chase phase (mcf/xalancbmk style): the chase loop
-            // itself is predictable; the node-type dispatch is not.
-            for (int i = 0; i < 24; ++i) {
-                const std::uint64_t addr =
-                    pool.base + (rng.next_u64() & (pool_bytes - 1) & ~7ULL);
-                // Several independent node visits per dependent hop
-                // (breadth in the working set hides most chase latency).
-                if (i % 8 == 0)
-                    ctx.chase_load(addr);
-                else
-                    ctx.load(addr);
-                ctx.alu(9);
-                ctx.branch(0x1217A0 + (i % 11), true);  // loop back-edge
-                if ((i & 3) == 0)
-                    ctx.branch(0x1217C0, rng.next_bool(0.62));
-            }
-            // Compression-style window loop (bzip2/gcc style): streaming
-            // loads over a small window with occasional match hits.
-            for (int i = 0; i < 96; ++i) {
-                ctx.load(window.base + ((i * 8) & 0x3FFF8));
-                ctx.alu(7);
-                const bool match = rng.next_bool(0.11);
-                ctx.branch(0x1217B0 + (i % 13), match);
-                ctx.branch(0x1217D0, i + 1 < 96);  // loop back-edge
-                if (match)
-                    ctx.store(window.base + ((i * 16) & 0x3FFF8));
-            }
+    while (ctx.counts().total() < config.op_budget) {
+        // Pointer-chase phase (mcf/xalancbmk style): the chase loop
+        // itself is predictable; the node-type dispatch is not.
+        for (int i = 0; i < 24; ++i) {
+            const std::uint64_t addr =
+                pool.base + (rng.next_u64() & (pool_bytes - 1) & ~7ULL);
+            // Several independent node visits per dependent hop
+            // (breadth in the working set hides most chase latency).
+            if (i % 8 == 0)
+                ctx.chase_load(addr);
+            else
+                ctx.load(addr);
+            ctx.alu(9);
+            ctx.branch(0x1217A0 + (i % 11), true);  // loop back-edge
+            if ((i & 3) == 0)
+                ctx.branch(0x1217C0, rng.next_bool(0.62));
         }
-    }
-
-  private:
-    WorkloadInfo info_;
-};
-
-class SpecFpWorkload final : public Workload
-{
-  public:
-    SpecFpWorkload()
-    {
-        info_.name = "SPECFP";
-        info_.category = Category::kSpecCpu;
-        info_.source = "model: dense FP composite (stencil/blas style)";
-    }
-
-    const WorkloadInfo& info() const override { return info_; }
-
-    void
-    run(cpu::Core& core, const RunConfig& config) override
-    {
-        trace::ExecCtx ctx(
-            core,
-            make_code_layout(FootprintClass::kStaticCompute, kUserCodeBase,
-                             config.seed),
-            os::kernel_code_layout(kKernelCodeBase, config.seed ^ 0x5A5A),
-            spec_exec_profile(), config.seed);
-        mem::AddressSpace space;
-        const std::uint64_t n = 384ULL << 10;  // 3 MB arrays
-        const mem::Region a = space.alloc(n * 8, "specfp_a");
-        const mem::Region b = space.alloc(n * 8, "specfp_b");
-        const mem::Region c = space.alloc(n * 8, "specfp_c");
-
-        std::uint64_t i = 0;
-        while (ctx.counts().total() < config.op_budget) {
-            // Stencil-style sweep: unit stride, two loads + two FP + store.
-            const std::uint64_t idx = (i % (n - 2)) * 8;
-            ctx.load(a.base + idx);
-            ctx.load(b.base + idx);
-            ctx.fpu(2);
-            ctx.store(c.base + idx);
-            ctx.alu(2);
-            if ((i & 15) == 15)
-                ctx.branch(0xF9A0, true);
-            ++i;
+        // Compression-style window loop (bzip2/gcc style): streaming
+        // loads over a small window with occasional match hits.
+        for (int i = 0; i < 96; ++i) {
+            ctx.load(window.base + ((i * 8) & 0x3FFF8));
+            ctx.alu(7);
+            const bool match = rng.next_bool(0.11);
+            ctx.branch(0x1217B0 + (i % 13), match);
+            ctx.branch(0x1217D0, i + 1 < 96);  // loop back-edge
+            if (match)
+                ctx.store(window.base + ((i * 16) & 0x3FFF8));
         }
-    }
-
-  private:
-    WorkloadInfo info_;
-};
-
-}  // namespace
-
-std::unique_ptr<Workload>
-make_spec_workload(const std::string& name)
-{
-    if (name == "SPECINT")
-        return std::make_unique<SpecIntWorkload>();
-    if (name == "SPECFP")
-        return std::make_unique<SpecFpWorkload>();
-    return nullptr;
+}
 }
 
-const std::vector<std::string>&
-spec_names()
+void
+specfp(Env& env, const RunConfig& config, const WorkloadInfo&)
 {
-    static const std::vector<std::string> kNames = {"SPECFP", "SPECINT"};
-    return kNames;
+    trace::ExecCtx& ctx = env.ctx;
+    mem::AddressSpace& space = env.space;
+
+    const std::uint64_t n = 384ULL << 10;  // 3 MB arrays
+    const mem::Region a = space.alloc(n * 8, "specfp_a");
+    const mem::Region b = space.alloc(n * 8, "specfp_b");
+    const mem::Region c = space.alloc(n * 8, "specfp_c");
+
+    std::uint64_t i = 0;
+    while (ctx.counts().total() < config.op_budget) {
+        // Stencil-style sweep: unit stride, two loads + two FP + store.
+        const std::uint64_t idx = (i % (n - 2)) * 8;
+        ctx.load(a.base + idx);
+        ctx.load(b.base + idx);
+        ctx.fpu(2);
+        ctx.store(c.base + idx);
+        ctx.alu(2);
+        if ((i & 15) == 15)
+            ctx.branch(0xF9A0, true);
+        ++i;
+}
 }
 
-}  // namespace dcb::workloads
+}  // namespace dcb::workloads::kernels

@@ -40,8 +40,6 @@ struct WorkloadInfo
     double paper_instructions_g = 0.0;
     /** Cluster-model job parameters (Figure 2/5); unused otherwise. */
     mapreduce::JobSpec cluster_spec;
-    /** Appears in the Figure 2 speedup experiment. */
-    bool in_figure2 = false;
 };
 
 /** Knobs for one measured run. */

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "mapreduce/cluster.h"
-#include "workloads/data_analysis.h"
 #include "workloads/registry.h"
 
 namespace dcb::mapreduce {
@@ -113,7 +112,8 @@ TEST(Cluster, EightSlaveSpeedupsSpanThePaperRange)
     ClusterConfig cluster;
     double lo = 100.0;
     double hi = 0.0;
-    for (const auto& name : workloads::data_analysis_names()) {
+    for (const auto& name :
+         workloads::names_in_category(workloads::Category::kDataAnalysis)) {
         const auto w = workloads::make_workload(name);
         const double sp = sim.speedup(w->info().cluster_spec, cluster, 8);
         lo = std::min(lo, sp);

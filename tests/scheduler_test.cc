@@ -13,7 +13,6 @@
 
 #include "mapreduce/fairshare.h"
 #include "mapreduce/scheduler.h"
-#include "workloads/data_analysis.h"
 #include "workloads/registry.h"
 
 namespace dcb::mapreduce {
@@ -23,6 +22,13 @@ JobSpec
 spec_of(const std::string& name)
 {
     return workloads::make_workload(name)->info().cluster_spec;
+}
+
+/** The eleven data-analysis workloads, in Table I order. */
+std::vector<std::string>
+da_names()
+{
+    return workloads::names_in_category(workloads::Category::kDataAnalysis);
 }
 
 ClusterConfig
@@ -84,7 +90,7 @@ expect_exact(const OneJob& run, const JobSpec& spec,
 TEST(Scheduler, ZeroFaultMatchesAnalyticModel)
 {
     const ClusterSimulator sim;
-    for (const std::string& name : workloads::data_analysis_names()) {
+    for (const std::string& name : da_names()) {
         const JobSpec spec = spec_of(name);
         for (const std::uint32_t slaves : {1u, 4u, 8u}) {
             ClusterConfig cluster;
@@ -103,7 +109,7 @@ TEST(Scheduler, ZeroFaultSpeedupsMatchAnalyticModel)
     ClusterConfig one;
     one.slaves = 1;
     const ClusterConfig eight = eight_slaves();
-    for (const std::string& name : workloads::data_analysis_names()) {
+    for (const std::string& name : da_names()) {
         const JobSpec spec = spec_of(name);
         const double wave_speedup =
             sim.run(spec, one).total_s / sim.run(spec, eight).total_s;
@@ -137,7 +143,7 @@ TEST(Scheduler, ZeroFaultGoldenHashIsPinned)
     const auto mix_u = [&mix](std::uint64_t v) { mix(&v, sizeof v); };
 
     const ClusterSimulator sim;
-    for (const std::string& name : workloads::data_analysis_names()) {
+    for (const std::string& name : da_names()) {
         const JobSpec spec = spec_of(name);
         for (const std::uint32_t slaves : {1u, 4u, 8u}) {
             ClusterConfig cluster;
@@ -169,7 +175,7 @@ TEST(Scheduler, ZeroFaultGoldenHashIsPinned)
 TEST(Scheduler, ExpectedTaskCountsMatchCompletedRuns)
 {
     const ClusterConfig cluster = eight_slaves();
-    for (const std::string& name : workloads::data_analysis_names()) {
+    for (const std::string& name : da_names()) {
         SCOPED_TRACE(name);
         const JobSpec spec = spec_of(name);
         const TaskCounts want = expected_task_counts(spec, cluster);
@@ -196,7 +202,7 @@ TEST(Scheduler, TaskCrashesAreRetriedToCompletion)
     const ClusterConfig cluster = eight_slaves();
 
     std::uint32_t total_failures = 0;
-    for (const std::string& name : workloads::data_analysis_names()) {
+    for (const std::string& name : da_names()) {
         SCOPED_TRACE(name);
         const OneJob run = run_one(spec_of(name), cluster, plan);
         expect_exact(run, spec_of(name), cluster);
@@ -220,14 +226,13 @@ TEST(Scheduler, MeanJobTimeMonotoneInCrashRate)
         fault::FaultPlan plan;
         plan.task_crash_prob = rate;
         double mean = 0.0;
-        for (const std::string& name :
-             workloads::data_analysis_names()) {
+        for (const std::string& name : da_names()) {
             const OneJob run = run_one(spec_of(name), cluster, plan);
             ASSERT_TRUE(run.job().completed) << name << ": "
                                              << run.job().error;
             mean += run.total_s();
         }
-        mean /= workloads::data_analysis_names().size();
+        mean /= da_names().size();
         EXPECT_GE(mean, prev) << "rate " << rate;
         prev = mean;
     }
@@ -240,7 +245,7 @@ TEST(Scheduler, NodeCrashMidJobIsRecovered)
     plan.crash_node = 2;
     const ClusterConfig cluster = eight_slaves();
 
-    for (const std::string& name : workloads::data_analysis_names()) {
+    for (const std::string& name : da_names()) {
         SCOPED_TRACE(name);
         const OneJob run = run_one(spec_of(name), cluster, plan);
         expect_exact(run, spec_of(name), cluster);
@@ -314,7 +319,7 @@ TEST(Scheduler, BlacklistNeverExceedsQuarterOfTheCluster)
     fault::FaultPlan plan;
     plan.task_crash_prob = 0.05;
     const ClusterConfig cluster = eight_slaves();
-    for (const std::string& name : workloads::data_analysis_names()) {
+    for (const std::string& name : da_names()) {
         SCOPED_TRACE(name);
         const OneJob run = run_one(spec_of(name), cluster, plan);
         expect_exact(run, spec_of(name), cluster);

@@ -5,11 +5,7 @@
 #include <set>
 
 #include "core/harness.h"
-#include "workloads/data_analysis.h"
-#include "workloads/hpcc.h"
 #include "workloads/registry.h"
-#include "workloads/services.h"
-#include "workloads/spec.h"
 
 namespace dcb::workloads {
 namespace {
@@ -52,7 +48,6 @@ TEST(Registry, TableOneMetadataIsAttached)
     EXPECT_EQ(sort->info().paper_input_gb, 150);
     EXPECT_EQ(sort->info().paper_instructions_g, 4578);
     EXPECT_EQ(sort->info().source, "Hadoop example");
-    EXPECT_TRUE(sort->info().in_figure2);
     const auto bayes = make_workload("Naive Bayes");
     EXPECT_EQ(bayes->info().paper_instructions_g, 68131);
     EXPECT_EQ(bayes->info().source, "mahout");
@@ -60,7 +55,7 @@ TEST(Registry, TableOneMetadataIsAttached)
 
 TEST(Registry, ServiceModelsAreLabelled)
 {
-    for (const auto& name : service_names()) {
+    for (const auto& name : names_in_category(Category::kService)) {
         const auto w = make_workload(name);
         EXPECT_TRUE(w->info().source.find("model") != std::string::npos)
             << name << " must be marked as a behavioural model";
